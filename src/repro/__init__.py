@@ -18,73 +18,45 @@ Quick tour
 See README.md for the full tour and DESIGN.md for the system inventory.
 """
 
-from ._version import __version__
-from .analysis import (
-    cause_breakdown,
-    check_paper_landmarks,
-    daily_pattern,
-    interval_distribution,
-)
-from .config import (
-    DEFAULT_CONFIG,
-    FgcsConfig,
-    LabWorkloadConfig,
-    MemoryConfig,
-    MonitorConfig,
-    SchedulerConfig,
-    TestbedConfig,
-    ThresholdConfig,
-)
-from .contention import calibrate_thresholds, measure_contention
-from .core import (
-    AvailState,
-    AvailabilityInterval,
-    BatchDetector,
-    MonitorSample,
-    MultiStateModel,
-    SampleBatch,
-    UnavailabilityDetector,
-    UnavailabilityEvent,
-    availability_intervals,
-    detect_events,
-)
-from .fgcs import run_testbed
-from .prediction import HistoryWindowPredictor, evaluate_predictors
-from .scheduling import run_scheduling_experiment
-from .traces import TraceDataset, generate_dataset, load_dataset, save_dataset
+from ._lazy import attach as _attach
 
-__all__ = [
-    "AvailState",
-    "AvailabilityInterval",
-    "BatchDetector",
-    "DEFAULT_CONFIG",
-    "FgcsConfig",
-    "HistoryWindowPredictor",
-    "LabWorkloadConfig",
-    "MemoryConfig",
-    "MonitorConfig",
-    "MonitorSample",
-    "MultiStateModel",
-    "SampleBatch",
-    "SchedulerConfig",
-    "TestbedConfig",
-    "ThresholdConfig",
-    "TraceDataset",
-    "UnavailabilityDetector",
-    "UnavailabilityEvent",
-    "__version__",
-    "availability_intervals",
-    "calibrate_thresholds",
-    "cause_breakdown",
-    "check_paper_landmarks",
-    "daily_pattern",
-    "detect_events",
-    "evaluate_predictors",
-    "generate_dataset",
-    "interval_distribution",
-    "load_dataset",
-    "measure_contention",
-    "run_scheduling_experiment",
-    "run_testbed",
-    "save_dataset",
-]
+#: Public name -> the module that defines it.  Names resolve on first
+#: access (PEP 562), so ``import repro.serve`` or ``import repro.cli``
+#: does not load the generator, the simulation stack or scipy.
+_EXPORTS = {
+    "__version__": "._version",
+    "cause_breakdown": ".analysis",
+    "check_paper_landmarks": ".analysis",
+    "daily_pattern": ".analysis",
+    "interval_distribution": ".analysis",
+    "DEFAULT_CONFIG": ".config",
+    "FgcsConfig": ".config",
+    "LabWorkloadConfig": ".config",
+    "MemoryConfig": ".config",
+    "MonitorConfig": ".config",
+    "SchedulerConfig": ".config",
+    "TestbedConfig": ".config",
+    "ThresholdConfig": ".config",
+    "calibrate_thresholds": ".contention",
+    "measure_contention": ".contention",
+    "AvailState": ".core",
+    "AvailabilityInterval": ".core",
+    "BatchDetector": ".core",
+    "MonitorSample": ".core",
+    "MultiStateModel": ".core",
+    "SampleBatch": ".core",
+    "UnavailabilityDetector": ".core",
+    "UnavailabilityEvent": ".core",
+    "availability_intervals": ".core",
+    "detect_events": ".core",
+    "run_testbed": ".fgcs",
+    "HistoryWindowPredictor": ".prediction",
+    "evaluate_predictors": ".prediction",
+    "run_scheduling_experiment": ".scheduling",
+    "TraceDataset": ".traces",
+    "generate_dataset": ".traces",
+    "load_dataset": ".traces",
+    "save_dataset": ".traces",
+}
+
+__getattr__, __dir__, __all__ = _attach(globals(), _EXPORTS)

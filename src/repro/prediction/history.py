@@ -98,10 +98,14 @@ class HistoryWindowPredictor(AvailabilityPredictor):
     def predict_count(self, query: PredictionQuery) -> float:
         return self._reduce(self._history_counts(query))
 
-    def predict_survival(self, query: PredictionQuery) -> float:
+    def clean_windows(self, query: PredictionQuery) -> tuple[int, int]:
+        """``(clean, n)``: how many of the ``n`` history windows saw no
+        unavailability start."""
         counts = self._history_counts(query)
-        clean = float(np.count_nonzero(counts < 0.5))
-        n = counts.size
+        return int(np.count_nonzero(counts < 0.5)), counts.size
+
+    def predict_survival(self, query: PredictionQuery) -> float:
+        clean, n = self.clean_windows(query)
         return (clean + self.laplace) / (n + 2 * self.laplace)
 
     def predict_survival_interval(
@@ -118,9 +122,7 @@ class HistoryWindowPredictor(AvailabilityPredictor):
             raise PredictionError("confidence must be in (0, 1)")
         import scipy.stats
 
-        counts = self._history_counts(query)
-        clean = float(np.count_nonzero(counts < 0.5))
-        n = counts.size
+        clean, n = self.clean_windows(query)
         a = clean + self.laplace
         b = (n - clean) + self.laplace
         alpha = (1 - confidence) / 2

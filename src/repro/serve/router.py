@@ -57,9 +57,10 @@ from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 
-from ..errors import ServeError
+from ..errors import ServeError, TraceError
 from ..obs.metrics import MetricsRegistry
 from ..traces.shards import ShardedTraceDataset
+from .state import ServeState, mean_survival
 
 __all__ = [
     "RouterApp",
@@ -108,13 +109,35 @@ class WorkerSpec:
 
 
 def worker_main(spec: WorkerSpec, conn) -> None:
-    """Entry point of one spawned shard worker (blocks until shutdown)."""
+    """Entry point of one spawned shard worker (blocks until shutdown).
+
+    Reports over ``conn`` once: its port (an ``int``) when it serves, or
+    the message (a ``str``) of the :class:`ServeError`,
+    :class:`TraceError` or :class:`OSError` that stopped its boot — then
+    exits with status 2 instead of printing a traceback.
+    """
+    try:
+        handle, ingester = _boot_worker(spec)
+    except (ServeError, TraceError, OSError) as exc:
+        conn.send(str(exc))
+        conn.close()
+        raise SystemExit(2) from None
+    conn.send(handle.port)
+    conn.close()
+    try:
+        handle.wait()  # until POST /v1/shutdown stops the serve loop
+    finally:
+        handle.server.server_close()
+        ingester.close(timeout=30.0)
+
+
+def _boot_worker(spec: WorkerSpec):
+    """Open the store range, restore the snapshot and start serving."""
     from pathlib import Path
 
     from ..traces.shards import open_shards
     from .ingest import AsyncIngester
     from .server import start_server
-    from .state import ServeState
 
     store = open_shards(spec.store_root, verify=spec.verify)
     state = ServeState.from_store(
@@ -149,13 +172,7 @@ def worker_main(spec: WorkerSpec, conn) -> None:
         ingester=ingester,
         worker_id=spec.worker_id,
     )
-    conn.send(handle.port)
-    conn.close()
-    try:
-        handle.wait()  # until POST /v1/shutdown stops the serve loop
-    finally:
-        handle.server.server_close()
-        ingester.close(timeout=30.0)
+    return handle, ingester
 
 
 # -- upstream connections ------------------------------------------------------
@@ -266,8 +283,12 @@ class WorkerSupervisor:
         self._thread: Optional[threading.Thread] = None
 
     def start(self) -> None:
-        for worker in self.workers:
-            self._spawn(worker)
+        try:
+            for worker in self.workers:
+                self._spawn(worker)
+        except BaseException:
+            self.close()
+            raise
         self._thread = threading.Thread(
             target=self._watch, name="fgcs-supervisor", daemon=True
         )
@@ -283,14 +304,28 @@ class WorkerSupervisor:
         )
         process.start()
         child.close()
-        if not parent.poll(_BOOT_TIMEOUT_S):
-            process.terminate()
-            raise ServeError(
-                f"worker {worker.spec.worker_id} did not report a port "
-                f"within {_BOOT_TIMEOUT_S:.0f}s"
-            )
-        port = parent.recv()
-        parent.close()
+        name = f"worker {worker.spec.worker_id}"
+        try:
+            if not parent.poll(_BOOT_TIMEOUT_S):
+                process.terminate()
+                process.join(5.0)
+                raise ServeError(
+                    f"{name} did not report a port within "
+                    f"{_BOOT_TIMEOUT_S:.0f}s"
+                )
+            try:
+                port = parent.recv()
+            except EOFError:
+                process.join(5.0)
+                raise ServeError(
+                    f"{name} exited (status {process.exitcode}) before "
+                    "reporting its port"
+                ) from None
+        finally:
+            parent.close()
+        if isinstance(port, str):
+            process.join(5.0)
+            raise ServeError(f"{name} failed to boot: {port}")
         with worker.lock:
             worker.process = process
             worker.port = port
@@ -589,7 +624,9 @@ class RouterApp:
                 return status, payload, headers
         parts = [payload for _, payload, _ in results]
         available = sum(p["available"] for p in parts)
-        survival_sum = sum(p["survival_sum"] for p in parts)
+        # Workers whose horizons differ can average over different
+        # numbers of history days; then there is no one fleet value.
+        days = {p["history_days"] for p in parts}
         merged = {
             "available": available,
             "n_machines": self.n_machines,
@@ -598,8 +635,15 @@ class RouterApp:
             "machine_hi": self.n_machines,
             "fraction": available / self.n_machines,
             "threshold": parts[0]["threshold"],
-            "mean_survival": survival_sum / self.n_machines,
-            "survival_sum": survival_sum,
+            "clean_windows": sum(p["clean_windows"] for p in parts),
+            "history_days": days.pop() if len(days) == 1 else None,
+            "mean_survival": mean_survival(
+                [
+                    (p["clean_windows"], p["owned"], p["history_days"])
+                    for p in parts
+                ],
+                self.supervisor.workers[0].spec.laplace,
+            ),
             "day": parts[0]["day"],
             "hour": parts[0]["hour"],
             "duration_hours": parts[0]["duration_hours"],

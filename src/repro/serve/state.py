@@ -84,6 +84,7 @@ from __future__ import annotations
 
 import os
 import threading
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -108,6 +109,7 @@ __all__ = [
     "TierStats",
     "ValidatedBatch",
     "counts_from_columns",
+    "mean_survival",
 ]
 
 #: Failure-state names accepted on the ingest boundary, by on-disk code.
@@ -115,6 +117,31 @@ _STATE_NAMES = {code: state.value for code, state in CODE_TO_STATE.items()}
 
 #: Overlay-snapshot document version (bump on incompatible layout change).
 SNAPSHOT_VERSION = 1
+
+
+def mean_survival(
+    parts: Iterable[tuple[int, int, int]], laplace: float
+) -> float:
+    """Fleet mean of the per-machine survival ``(clean + L) / (n + 2L)``.
+
+    ``parts`` holds integer ``(clean_windows, machines, history_days)``
+    totals, one per machine range.  Ranges whose windows span the same
+    ``n`` history days — all of them, unless ingest moved some workers'
+    horizons past others' — pool their integers, and a pool's share is
+    one division, ``(clean + N_pool*L) / (N*(n + 2L))``.  A router
+    merging its workers' totals therefore gets the same float as a
+    single process over the same fleet.
+    """
+    pools: dict[int, list[int]] = {}
+    for clean, machines, days in parts:
+        pool = pools.setdefault(days, [0, 0])
+        pool[0] += clean
+        pool[1] += machines
+    total = sum(machines for _, machines in pools.values())
+    return sum(
+        (clean + machines * laplace) / (total * (days + 2 * laplace))
+        for days, (clean, machines) in pools.items()
+    )
 
 
 def counts_from_columns(cols: EventColumns) -> np.ndarray:
@@ -702,7 +729,9 @@ class ServeState:
         try:
             with np.load(path) as data:
                 arrays = {name: data[name] for name in data.files}
-        except (OSError, ValueError, KeyError) as exc:
+        except (
+            OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile
+        ) as exc:
             raise ServeError(
                 f"cannot read overlay snapshot {path}: {exc}"
             ) from exc
@@ -935,6 +964,14 @@ class ServeState:
                         sub[:, i] += overlap * cell
         return out
 
+    def clean_windows(
+        self, day: int, start_hour: float, duration_hours: float
+    ) -> tuple[np.ndarray, int]:
+        """``(clean, n)``: per owned machine, how many of the ``n``
+        same-type history windows saw no unavailability start."""
+        matrix = self._history_matrix(day, start_hour, duration_hours)
+        return np.count_nonzero(matrix < 0.5, axis=1), matrix.shape[1]
+
     def survival_fleet(
         self, day: int, start_hour: float, duration_hours: float
     ) -> np.ndarray:
@@ -942,9 +979,7 @@ class ServeState:
 
         Index ``m - machine_lo`` holds machine ``m``'s answer.
         """
-        matrix = self._history_matrix(day, start_hour, duration_hours)
-        n = matrix.shape[1]
-        clean = np.count_nonzero(matrix < 0.5, axis=1).astype(float)
+        clean, n = self.clean_windows(day, start_hour, duration_hours)
         return (clean + self.laplace) / (n + 2 * self.laplace)
 
     def capacity(
@@ -960,13 +995,16 @@ class ServeState:
         A machine counts when its survival probability is >= ``threshold``.
         For a worker slice the answer covers only the owned range
         (``owned``/``machine_lo``/``machine_hi``); the router merges
-        partials — integer ``available`` sums are exact, and
-        ``survival_sum`` lets it recompute the fleet mean.
+        partials from integers only — it sums ``available`` and pools
+        ``clean_windows`` by ``history_days`` (how many same-type days
+        the window averages over) into :func:`mean_survival`.
         """
         if not 0.0 <= threshold <= 1.0:
             raise ServeError("threshold must be in [0, 1]")
-        survival = self.survival_fleet(day, start_hour, duration_hours)
+        clean, n = self.clean_windows(day, start_hour, duration_hours)
+        survival = (clean + self.laplace) / (n + 2 * self.laplace)
         available = int(np.count_nonzero(survival >= threshold))
+        clean_total = int(clean.sum())
         return {
             "available": available,
             "n_machines": self.n_machines,
@@ -975,8 +1013,11 @@ class ServeState:
             "machine_hi": self.machine_hi,
             "fraction": available / self.owned_machines,
             "threshold": threshold,
-            "mean_survival": float(survival.mean()),
-            "survival_sum": float(survival.sum()),
+            "clean_windows": clean_total,
+            "history_days": n,
+            "mean_survival": mean_survival(
+                [(clean_total, self.owned_machines, n)], self.laplace
+            ),
         }
 
     def rank(

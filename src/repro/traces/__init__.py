@@ -7,86 +7,47 @@ with machine/day-type slicing, the end-to-end generator, and validation
 checks.  See ``docs/formats.md`` for the on-disk formats.
 """
 
-from .binio import (
-    load_dataset_binary,
-    open_columns,
-    save_columns_binary,
-    save_dataset_binary,
-)
-from .dataset import TraceDataset
-from .external import load_event_list_csv
-from .filters import (
-    concat_in_time,
-    filter_events,
-    merge_datasets,
-    min_duration,
-    only_causes,
-    only_hours,
-    only_machines,
-)
-from .generate import dataset_metadata, generate_dataset, generate_dataset_columns
-from .io import (
-    TRACE_FORMATS,
-    detect_format,
-    load_dataset,
-    save_columns,
-    save_dataset,
-)
-from .records import (
-    EventColumns,
-    EventRecord,
-    columns_to_events,
-    events_to_columns,
-    validate_columns,
-)
-from .shards import (
-    ShardedTraceDataset,
-    ShardInfo,
-    ShardManifest,
-    convert_shards,
-    generate_shards,
-    is_shard_store,
-    open_shards,
-    partition_machines,
-    write_shards,
-)
-from .validate import validate_dataset
+from .._lazy import attach as _attach
 
-__all__ = [
-    "EventColumns",
-    "EventRecord",
-    "ShardInfo",
-    "ShardManifest",
-    "ShardedTraceDataset",
-    "TRACE_FORMATS",
-    "TraceDataset",
-    "columns_to_events",
-    "concat_in_time",
-    "convert_shards",
-    "dataset_metadata",
-    "detect_format",
-    "events_to_columns",
-    "filter_events",
-    "generate_dataset",
-    "generate_dataset_columns",
-    "generate_shards",
-    "is_shard_store",
-    "load_dataset",
-    "load_dataset_binary",
-    "load_event_list_csv",
-    "merge_datasets",
-    "min_duration",
-    "only_causes",
-    "only_hours",
-    "only_machines",
-    "open_columns",
-    "open_shards",
-    "partition_machines",
-    "save_columns",
-    "save_columns_binary",
-    "save_dataset",
-    "save_dataset_binary",
-    "validate_columns",
-    "validate_dataset",
-    "write_shards",
-]
+#: Public name -> the submodule that defines it, resolved on first access
+#: (PEP 562): reading a shard store never imports the generator below it.
+_EXPORTS = {
+    "load_dataset_binary": ".binio",
+    "open_columns": ".binio",
+    "save_columns_binary": ".binio",
+    "save_dataset_binary": ".binio",
+    "TraceDataset": ".dataset",
+    "load_event_list_csv": ".external",
+    "concat_in_time": ".filters",
+    "filter_events": ".filters",
+    "merge_datasets": ".filters",
+    "min_duration": ".filters",
+    "only_causes": ".filters",
+    "only_hours": ".filters",
+    "only_machines": ".filters",
+    "dataset_metadata": ".generate",
+    "generate_dataset": ".generate",
+    "generate_dataset_columns": ".generate",
+    "TRACE_FORMATS": ".io",
+    "detect_format": ".io",
+    "load_dataset": ".io",
+    "save_columns": ".io",
+    "save_dataset": ".io",
+    "EventColumns": ".records",
+    "EventRecord": ".records",
+    "columns_to_events": ".records",
+    "events_to_columns": ".records",
+    "validate_columns": ".records",
+    "ShardedTraceDataset": ".shards",
+    "ShardInfo": ".shards",
+    "ShardManifest": ".shards",
+    "convert_shards": ".shards",
+    "generate_shards": ".shards",
+    "is_shard_store": ".shards",
+    "open_shards": ".shards",
+    "partition_machines": ".shards",
+    "write_shards": ".shards",
+    "validate_dataset": ".validate",
+}
+
+__getattr__, __dir__, __all__ = _attach(globals(), _EXPORTS)

@@ -30,6 +30,7 @@ from repro.serve import (
     counts_from_columns,
     start_server,
 )
+from repro.serve.state import mean_survival
 from repro.traces.generate import generate_dataset
 from repro.traces.records import EventColumns
 from repro.traces.shards import generate_shards, open_shards
@@ -115,6 +116,30 @@ class TestStateMatchesBatch:
                 machine_id=machine, day=14, start_hour=9.5, duration_hours=6.0
             )
             assert survival[machine] == golden_state.predict_survival(query)
+
+    @pytest.mark.parametrize(
+        "day,hour,duration", [(14, 9.5, 6.0), (7, 0.0, 1.0), (25, 23.0, 30.0)]
+    )
+    def test_capacity_mean_from_batch_clean_counts(
+        self, golden_state, golden_predictor, day, hour, duration
+    ):
+        clean = 0
+        for machine in range(golden_state.n_machines):
+            k, n = golden_predictor.clean_windows(
+                PredictionQuery(
+                    machine_id=machine,
+                    day=day,
+                    start_hour=hour,
+                    duration_hours=duration,
+                )
+            )
+            clean += k
+        capacity = golden_state.capacity(day, hour, duration)
+        assert capacity["clean_windows"] == clean
+        assert capacity["history_days"] == n
+        assert capacity["mean_survival"] == mean_survival(
+            [(clean, golden_state.n_machines, n)], golden_predictor.laplace
+        )
 
     def test_window_count_matches_matrix(self, golden_dataset, golden_state):
         matrix = CountMatrix(golden_dataset)

@@ -15,12 +15,18 @@ the snapshot dir, so post-recovery answers still ``==`` batch.
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.config import FgcsConfig, TestbedConfig
+from repro.errors import ServeError
 from repro.prediction.base import PredictionQuery
 from repro.prediction.history import HistoryWindowPredictor
 from repro.serve import ServeClient, ServeState, start_router, start_server
@@ -119,13 +125,34 @@ class TestRouterMatchesSingleProcess:
         assert merged["n_machines"] == N_MACHINES
         assert merged["workers"] == 2
         assert merged["fraction"] == merged["available"] / N_MACHINES
-        # Partial sums add in worker order, not numpy's pairwise order —
-        # the integer counts are exact, the float aggregate is 1-ulp-close.
-        assert merged["survival_sum"] == pytest.approx(
-            expected["survival_sum"], rel=1e-12
-        )
+        # Workers return integer clean-window totals; the router divides
+        # once, exactly as the single process does.
+        assert merged["clean_windows"] == expected["clean_windows"]
+        assert merged["history_days"] == expected["history_days"]
+        assert merged["mean_survival"] == expected["mean_survival"]
+
+    def test_capacity_mean_over_windows_of_different_lengths(self, fleet):
+        # Streaming a day-27 event moves only worker 1's horizon.  For
+        # day 26 (a Saturday) worker 1 then averages the 6 weekend days
+        # before it, while worker 0, anchored at its day-21 horizon (a
+        # Monday), averages 8 weekdays: no single process answers that,
+        # so the mean is checked against the per-machine survivals.
+        root, store = fleet
+        with start_router(store, str(root), n_workers=2) as handle:
+            with ServeClient(handle.url) as client:
+                machine = handle.supervisor.workers[1].machine_lo
+                client.ingest(
+                    [{"machine_id": machine, "start": 27 * DAY + 60.0,
+                      "end": 27 * DAY + 660.0, "state": 3}]
+                )
+                client.flush()
+                merged = client.capacity(6.0, day=26, hour=0.0)
+                ranked = client.rank(6.0, k=N_MACHINES, day=26, hour=0.0)
+        assert merged["history_days"] is None
+        survivals = [entry["survival"] for entry in ranked["machines"]]
+        assert len(set(survivals)) > 1
         assert merged["mean_survival"] == pytest.approx(
-            expected["mean_survival"], rel=1e-12
+            sum(survivals) / N_MACHINES, rel=1e-12
         )
 
     def test_rank_merge_exact(self, router, reference):
@@ -382,3 +409,64 @@ class TestWorkerCrashRecovery:
                 assert merged["available"] == reference.capacity(
                     14, 0.0, 6.0
                 )["available"]
+
+
+def _truncated_npz(path: Path) -> None:
+    np.savez(path, meta=np.arange(9))
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+CORRUPTIONS = {
+    "garbage": lambda path: path.write_bytes(b"not an npz"),
+    "empty": lambda path: path.write_bytes(b""),
+    "truncated": _truncated_npz,
+}
+
+
+class TestBootFailure:
+    """A worker that cannot boot fails the router start, not the process."""
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_corrupt_snapshot_raises_serve_error(
+        self, fleet, tmp_path, corruption
+    ):
+        root, store = fleet
+        CORRUPTIONS[corruption](tmp_path / "worker0.npz")
+        with pytest.raises(
+            ServeError,
+            match="worker 0 failed to boot: cannot read overlay snapshot",
+        ):
+            start_router(
+                store, str(root), n_workers=2, snapshot_dir=str(tmp_path)
+            )
+
+    def test_cli_exits_2_with_the_worker_message(self, fleet, tmp_path):
+        root, _ = fleet
+        # Worker 0 boots first and must be shut down again.
+        CORRUPTIONS["garbage"](tmp_path / "worker1.npz")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro.cli",
+                "serve",
+                str(root),
+                "--workers",
+                "2",
+                "--snapshot-dir",
+                str(tmp_path),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(
+            "error: worker 1 failed to boot: cannot read overlay snapshot"
+        ), proc.stderr
+        assert "Traceback" not in proc.stderr
