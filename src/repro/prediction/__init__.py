@@ -17,47 +17,32 @@ days.
   survival Brier score, calibration).
 """
 
-from .base import AvailabilityPredictor, CountMatrix, PredictionQuery
-from .baselines import (
-    EwmaPredictor,
-    GlobalRatePredictor,
-    HourlyMeanPredictor,
-    LastDayPredictor,
-)
-from .adaptive import ChangePointAdaptivePredictor, detect_change_points
-from .ensemble import EnsemblePredictor
-from .evaluate import (
-    EvaluationResult,
-    evaluate_by_duration,
-    evaluate_machine_ranking,
-    evaluate_predictors,
-)
-from .factored import FactoredPredictor
-from .history import HistoryWindowPredictor
-from .markov import IntervalExponentialPredictor
-from .online import OnlinePredictor
-from .renewal import RenewalAgePredictor
-from .semimarkov import SemiMarkovModel
+from .._lazy import attach as _attach
 
-__all__ = [
-    "AvailabilityPredictor",
-    "ChangePointAdaptivePredictor",
-    "CountMatrix",
-    "detect_change_points",
-    "EvaluationResult",
-    "EnsemblePredictor",
-    "EwmaPredictor",
-    "FactoredPredictor",
-    "GlobalRatePredictor",
-    "HistoryWindowPredictor",
-    "HourlyMeanPredictor",
-    "IntervalExponentialPredictor",
-    "LastDayPredictor",
-    "OnlinePredictor",
-    "PredictionQuery",
-    "RenewalAgePredictor",
-    "SemiMarkovModel",
-    "evaluate_by_duration",
-    "evaluate_machine_ranking",
-    "evaluate_predictors",
-]
+#: Public name -> the submodule that defines it, resolved on first access
+#: (PEP 562): a serve process that needs only ``PredictionQuery`` never
+#: imports the evaluation harness or the other predictors.
+_EXPORTS = {
+    "ChangePointAdaptivePredictor": ".adaptive",
+    "detect_change_points": ".adaptive",
+    "AvailabilityPredictor": ".base",
+    "CountMatrix": ".base",
+    "PredictionQuery": ".base",
+    "EwmaPredictor": ".baselines",
+    "GlobalRatePredictor": ".baselines",
+    "HourlyMeanPredictor": ".baselines",
+    "LastDayPredictor": ".baselines",
+    "EnsemblePredictor": ".ensemble",
+    "EvaluationResult": ".evaluate",
+    "evaluate_by_duration": ".evaluate",
+    "evaluate_machine_ranking": ".evaluate",
+    "evaluate_predictors": ".evaluate",
+    "FactoredPredictor": ".factored",
+    "HistoryWindowPredictor": ".history",
+    "IntervalExponentialPredictor": ".markov",
+    "OnlinePredictor": ".online",
+    "RenewalAgePredictor": ".renewal",
+    "SemiMarkovModel": ".semimarkov",
+}
+
+__getattr__, __dir__, __all__ = _attach(globals(), _EXPORTS)

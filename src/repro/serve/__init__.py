@@ -2,8 +2,8 @@
 
 The live counterpart of :mod:`repro.prediction`: a long-running daemon
 (``repro-fgcs serve``) holding per-machine predictor state as hot/cold
-tiered count blocks — paged at block granularity from mmap'd binary
-shards (:mod:`repro.serve.paging`), updated in place by streamed events
+tiered count blocks — paged at block granularity from binary shards
+(:mod:`repro.serve.paging`), updated in place by streamed events
 through a bounded asynchronous ingest queue (:mod:`repro.serve.ingest`)
 — and answering HTTP/JSON queries value-identical to the batch
 :class:`HistoryWindowPredictor` on the same data.  ``repro-fgcs serve

@@ -1,60 +1,70 @@
 """Block-level paging of predictor count state over an on-disk shard store.
 
-PR 8's cold tier paged *whole shards*: a touch of any machine rebuilt the
-shard's full ``(machines, n_days, 24)`` count block.  At 10³ machines
-that is fine; at 10⁵–10⁶ a single shard's block is tens to hundreds of
+Paging *whole shards* means a touch of any machine rebuilds the shard's
+full ``(machines, n_days, 24)`` count block.  At 10³ machines that is
+fine; at 10⁵–10⁶ a single shard's block is tens to hundreds of
 megabytes and the resident-set ceiling is effectively ``hot_shards ×
 shard_block`` — far too coarse to serve a million-machine fleet under a
 fixed RSS budget.
 
-:class:`BlockPager` replaces that with **fixed-size machine-range
-blocks**: each shard's machine range is chopped into pieces of
-``block_machines`` machines, and only the touched block's counts are
-(re)built.  For binary shards the rebuild is zero-copy end to end — the
-shard file is memory-mapped, the block's event rows are located with two
-binary searches on the (machine-sorted) ``machine_id`` column (touching
-``O(log n)`` pages, *not* the whole file), and the counts come from one
-``bincount`` over that slice.  The mapping is dropped as soon as the
-block is built, so evicted state really leaves the resident set instead
-of lingering as mapped file pages.
+:class:`BlockPager` pages **fixed-size machine-range blocks** instead:
+each shard's machine range is chopped into pieces of ``block_machines``
+machines, and only the touched block's counts are (re)built.
+
+A shard's first block touch verifies its SHA-256 against the manifest
+and, in the same call, records where its rows live: the byte offset of
+the event block and a machine → first-row index (``n_machines + 1``
+integers, from the machine-sorted ``machine_id`` column).  From then on
+a binary shard's block rebuild is **one positioned read** of exactly the
+block's rows (``os.pread``), binned by one ``bincount``.  Nothing is
+memory-mapped, so evicted state really leaves the resident set instead
+of lingering as mapped file pages.  JSONL shards (no fixed row width)
+slice the same index out of a one-deep parse cache.
 
 Exactness: a block's counts are the corresponding machine rows of
 :func:`repro.serve.state.counts_from_columns` on the whole shard —
-integer event counts binned with the same ``np.divmod`` arithmetic, so
+integer event counts binned by :func:`counts_from_event_rows`, which
+reproduces CPython's float ``divmod`` exactly (see there), so
 restriction to a machine sub-range commutes with counting and every
 answer served through paging equals the unpaged (and batch) answer
 exactly.  ``tests/test_serve_paging.py`` pins this, block size by block
 size, through eviction churn.
 
-Verification: the shard file's SHA-256 is checked against the manifest
-**once per shard** (first block touch), not per rebuild — per-rebuild
+Verification happens **once per shard**, not per rebuild — per-rebuild
 hashing would re-read the whole file and defeat the point of paging.
-Corrupted-after-first-touch files still fail loudly: a truncated map
-raises on access, and the fingerprint pins the content the serve process
-started from.
+A file truncated after its first touch still fails loudly, with
+:class:`~repro.errors.TraceError` on the short read, and one replaced
+since (a store rewritten in place renames new files over the old) fails
+on its changed inode rather than being read through the old file's row
+index.
 
-``block_machines=None`` keeps whole-shard blocks (PR 8 behavior): every
-block spans exactly one shard, and ``max_blocks`` bounds resident
-*shards* — which is what the pre-existing ``--hot-shards`` flag still
-means.
+``block_machines=None`` keeps whole-shard blocks: every block spans
+exactly one shard, and ``max_blocks`` bounds resident *shards* — which
+is what the ``--hot-shards`` flag still means.
 """
 
 from __future__ import annotations
 
 import bisect
+import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ..errors import ServeError, TraceError
-from ..traces.records import EventColumns
+from ..traces.records import EVENT_DTYPE, EventColumns
 from ..traces.shards import ShardedTraceDataset, _sha256_file
-from ..units import DAY, HOUR
+from ..units import HOUR
 
 __all__ = ["BlockInfo", "BlockPager", "PagerStats"]
+
+#: Event rows per read (2.3 MiB) while a shard's first touch indexes its
+#: machines, so indexing a large shard never holds its whole event block.
+_INDEX_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -80,7 +90,8 @@ class PagerStats:
     resident_blocks: int
     #: Bytes of resident count blocks.
     resident_bytes: int
-    #: Touches answered from a resident block.
+    #: Block touches answered from a resident block.  A point query
+    #: touches its machine's block once, however many cells it reads.
     hits: int
     #: Block (re)builds — the page-miss count.
     rebuilds: int
@@ -92,34 +103,87 @@ class PagerStats:
     block_machines: Optional[int]
 
 
+class _ShardRows(NamedTuple):
+    """Where a shard's event rows live, learned at its first touch."""
+
+    path: Path
+    #: ``(st_dev, st_ino)`` of the file that was verified and indexed.
+    file_id: tuple[int, int]
+    #: Byte offset of the event block (``None`` for JSONL shards).
+    offset: Optional[int]
+    #: ``first_row[m]`` is the first event row of shard-local machine
+    #: ``m``; ``first_row[n_machines]`` is the row count.
+    first_row: np.ndarray
+
+
 def counts_from_event_rows(
     rows: np.ndarray, n_machines: int, n_days: int, machine_base: int = 0
 ) -> np.ndarray:
     """Bin event rows into an ``(n_machines, n_days, 24)`` count block.
 
-    The same ``np.divmod`` / ``np.floor_divide`` binning as
-    :func:`repro.serve.state.counts_from_columns`, applied to an
-    arbitrary slice of an event table whose machine ids start at
-    ``machine_base`` — the block-restricted form of the whole-shard
-    count matrix.
+    The binning of :class:`repro.prediction.base.CountMatrix` —
+    ``day, rem = divmod(start, DAY)``, ``hour = rem // HOUR``, events
+    past the last whole day dropped — applied to an arbitrary slice of
+    an event table whose machine ids start at ``machine_base``: the
+    block-restricted form of the whole-shard count matrix.
+
+    It is computed as one floor-and-correct division: ``cell =
+    floor(start / HOUR)``, minus one where ``cell * HOUR > start``.  The
+    rounded quotient is never below the true quotient's floor and at
+    most reaches the next integer, and for any start below 2⁵³ the
+    product and the comparison are exact, so ``cell`` is the exact floor
+    of ``start / HOUR``.  Since ``DAY = 24 * HOUR`` exactly, that is
+    ``24 * day + hour`` for CPython's exact ``divmod``, cell for cell —
+    property-tested at every ``k·HOUR`` (so every ``k·DAY``) and one ulp
+    either side.  A start beyond 2⁵³ seconds lies past any trace's last
+    day and is dropped by both.
     """
-    counts = np.zeros((n_machines, n_days, 24), dtype=np.int64)
-    if rows.size == 0 or n_days == 0:
-        return counts
-    day, rem = np.divmod(rows["start"], DAY)
-    hour = np.floor_divide(rem, HOUR).astype(np.int64)
-    day = day.astype(np.int64)
-    keep = day < n_days
-    flat = (
-        (rows["machine_id"].astype(np.int64)[keep] - machine_base)
-        * (n_days * 24)
-        + day[keep] * 24
-        + hour[keep]
+    start = rows["start"]
+    cell = start / HOUR
+    np.floor(cell, out=cell)
+    cell -= cell * HOUR > start
+    flat = rows["machine_id"].astype(np.int64)
+    flat -= machine_base
+    flat *= n_days * 24
+    flat += cell.astype(np.int64)
+    keep = cell < n_days * 24
+    if not keep.all():
+        flat = flat[keep]
+    return np.bincount(flat, minlength=n_machines * n_days * 24).reshape(
+        n_machines, n_days, 24
     )
-    counts += np.bincount(flat, minlength=n_machines * n_days * 24).reshape(
-        counts.shape
-    )
-    return counts
+
+
+def _file_id(path: Path) -> tuple[int, int]:
+    try:
+        st = os.stat(path)
+    except OSError as exc:
+        raise TraceError(f"cannot read shard {path}: {exc}") from exc
+    return st.st_dev, st.st_ino
+
+
+def _read_rows(
+    path: Path, offset: int, row_lo: int, row_hi: int
+) -> np.ndarray:
+    """Event rows ``[row_lo, row_hi)`` of a binary shard, in one positioned
+    read.  A short read means the file is shorter than its header says."""
+    width = EVENT_DTYPE.itemsize
+    nbytes = (row_hi - row_lo) * width
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            data = os.pread(fd, nbytes, offset + row_lo * width)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise TraceError(f"cannot read shard {path}: {exc}") from exc
+    if len(data) != nbytes:
+        raise TraceError(
+            f"shard {path}: event rows [{row_lo}, {row_hi}) lie past the "
+            f"end of the file (read {len(data)} of {nbytes} bytes); the "
+            "file was truncated"
+        )
+    return np.frombuffer(data, dtype=EVENT_DTYPE)
 
 
 class BlockPager:
@@ -201,7 +265,8 @@ class BlockPager:
         self._hits = 0
         self._rebuilds = 0
         self._evictions = 0
-        self._verified: set[int] = set()
+        #: Per touched shard: where its rows live (see :meth:`_shard_rows`).
+        self._rows: dict[int, _ShardRows] = {}
         # One-deep cache of parsed columns for JSONL shards, so scanning
         # consecutive blocks of the same (non-zero-copy) shard parses the
         # file once, not once per block.
@@ -233,11 +298,15 @@ class BlockPager:
         self._evict()
         return block
 
+    def row(self, machine_id: int) -> np.ndarray:
+        """One machine's ``(n_days, 24)`` counts (a view into its block):
+        one touch of the block, paging it in."""
+        block_id = self.block_of(machine_id)
+        return self.counts(block_id)[machine_id - self.blocks[block_id].lo]
+
     def cell(self, machine_id: int, day: int, hour: int) -> int:
         """One machine-day-hour count, paging the owning block in."""
-        info_id = self.block_of(machine_id)
-        info = self.blocks[info_id]
-        return int(self.counts(info_id)[machine_id - info.lo, day, hour])
+        return int(self.row(machine_id)[day, hour])
 
     def stats(self) -> PagerStats:
         return PagerStats(
@@ -266,41 +335,72 @@ class BlockPager:
             self._resident_bytes -= evicted.nbytes
             self._evictions += 1
 
-    def _check_shard(self, shard: int) -> None:
-        if shard in self._verified or not self._verify:
-            return
-        info = self._store.manifest.shards[shard]
-        path = self._store.root / info.path
-        try:
-            digest = _sha256_file(path)
-        except OSError as exc:
-            raise TraceError(f"cannot read shard {path}: {exc}") from exc
-        if digest != info.sha256:
-            raise TraceError(
-                f"shard {info.path} content fingerprint mismatch "
-                f"(expected {info.sha256[:12]}…, got {digest[:12]}…); "
-                "the file was corrupted or replaced"
-            )
-        self._verified.add(shard)
+    def _shard_rows(self, shard: int) -> _ShardRows:
+        """Where the shard's rows live, recorded at its first touch.
 
-    def _shard_columns(self, shard: int) -> EventColumns:
-        """The shard's event columns: a fresh zero-copy map for binary
-        shards, a one-deep parse cache for JSONL shards."""
-        from ..traces.binio import is_binary_trace, open_columns
+        The first touch verifies the shard's fingerprint, then reads its
+        ``machine_id`` column once (in bounded chunks, for binary
+        shards) into the machine → first-row index.  The index equals a
+        binary search of the machine-sorted column for every machine.
+        """
+        rows = self._rows.get(shard)
+        if rows is not None:
+            return rows
+        from ..traces.binio import _read_header, is_binary_trace
 
         info = self._store.manifest.shards[shard]
         path = self._store.root / info.path
-        self._check_shard(shard)
+        file_id = _file_id(path)
+        if self._verify:
+            try:
+                digest = _sha256_file(path)
+            except OSError as exc:
+                raise TraceError(f"cannot read shard {path}: {exc}") from exc
+            if digest != info.sha256:
+                raise TraceError(
+                    f"shard {info.path} content fingerprint mismatch "
+                    f"(expected {info.sha256[:12]}…, got {digest[:12]}…); "
+                    "the file was corrupted or replaced"
+                )
+        machines = np.arange(info.n_machines + 1)
         if is_binary_trace(path):
-            _, columns, _ = open_columns(path, mmap=True)
-            return columns
+            header, offset = _read_header(path)
+            n_machines = int(header["n_machines"])
+            n_events = int(header["n_events"])
+            # Per chunk, each machine's binary search counts the chunk's
+            # rows of lower machines; over a sorted column they add up.
+            first_row = np.zeros(machines.size, dtype=np.int64)
+            for lo in range(0, n_events, _INDEX_CHUNK_ROWS):
+                hi = min(lo + _INDEX_CHUNK_ROWS, n_events)
+                mids = _read_rows(path, offset, lo, hi)["machine_id"]
+                first_row += np.searchsorted(mids, machines, side="left")
+        else:
+            offset = None
+            columns = self._jsonl_columns(shard)
+            n_machines = columns.n_machines
+            first_row = np.searchsorted(
+                columns.events["machine_id"], machines, side="left"
+            )
+        if n_machines != info.n_machines:
+            raise TraceError(
+                f"shard {info.path} holds {n_machines} machines, "
+                f"manifest says {info.n_machines}"
+            )
+        rows = self._rows[shard] = _ShardRows(path, file_id, offset, first_row)
+        return rows
+
+    def _jsonl_columns(self, shard: int) -> EventColumns:
+        """A JSONL shard's parsed columns, through a one-deep cache."""
         with self._jsonl_lock:
             cached = self._jsonl_cache
             if cached is not None and cached[0] == shard:
                 return cached[1]
         from ..traces.io import load_dataset
 
-        columns = EventColumns.from_dataset(load_dataset(path))
+        info = self._store.manifest.shards[shard]
+        columns = EventColumns.from_dataset(
+            load_dataset(self._store.root / info.path)
+        )
         with self._jsonl_lock:
             self._jsonl_cache = (shard, columns)
         return columns
@@ -308,27 +408,26 @@ class BlockPager:
     def _build(self, block: BlockInfo) -> np.ndarray:
         """(Re)build one block's counts from its shard file.
 
-        The mmap (binary shards) lives only for the duration of this
-        call: the two ``searchsorted`` probes touch ``O(log n)`` pages,
-        the ``bincount`` touches the block's own rows, and the returned
-        counts own their memory — nothing keeps file pages resident.
+        A binary shard's block is one positioned read of exactly the
+        block's rows; the returned counts own their memory and nothing
+        stays mapped, so an evicted block leaves the resident set.  A
+        shard file replaced since its first touch (a store regenerated
+        in place writes new files) would not match the recorded row
+        index, so it raises instead of serving misaligned rows.
         """
-        shard_info = self._store.manifest.shards[block.shard]
-        columns = self._shard_columns(block.shard)
-        if columns.n_machines != shard_info.n_machines:
+        shard = self._shard_rows(block.shard)
+        if _file_id(shard.path) != shard.file_id:
             raise TraceError(
-                f"shard {shard_info.path} holds {columns.n_machines} "
-                f"machines, manifest says {shard_info.n_machines}"
+                f"shard {shard.path} was replaced after it was verified "
+                "and indexed; restart the server to serve the new file"
             )
-        # Shard files hold shard-local machine ids.
-        local_lo = block.lo - shard_info.machine_lo
-        local_hi = block.hi - shard_info.machine_lo
-        mids = columns.events["machine_id"]
-        row_lo = int(np.searchsorted(mids, local_lo, side="left"))
-        row_hi = int(np.searchsorted(mids, local_hi, side="left"))
+        base = block.lo - self._store.manifest.shards[block.shard].machine_lo
+        row_lo = int(shard.first_row[base])
+        row_hi = int(shard.first_row[base + block.n_machines])
+        if shard.offset is None:
+            rows = self._jsonl_columns(block.shard).events[row_lo:row_hi]
+        else:
+            rows = _read_rows(shard.path, shard.offset, row_lo, row_hi)
         return counts_from_event_rows(
-            columns.events[row_lo:row_hi],
-            block.n_machines,
-            self.n_days,
-            machine_base=local_lo,
+            rows, block.n_machines, self.n_days, machine_base=base
         )

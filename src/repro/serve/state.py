@@ -14,11 +14,12 @@ million-machine fleet fits under a fixed RSS ceiling.
 * **base tier** — count blocks built from the bootstrap trace.  A state
   bootstrapped from in-memory columns holds one resident block; a
   store-backed state pages **fixed-size machine-range blocks** in and
-  out through a :class:`~repro.serve.paging.BlockPager` (rebuilt
-  zero-copy from the mmap'd binary shards, LRU-bounded by blocks and/or
-  bytes), so the fleet's total state never has to be resident at once —
-  the block grain is what lets a 10⁵–10⁶-machine fleet serve under a
-  fixed RSS ceiling.
+  out through a :class:`~repro.serve.paging.BlockPager` (each rebuilt
+  from one positioned read of its rows in a binary shard, LRU-bounded
+  by blocks and/or bytes), so the fleet's total state never has to be
+  resident at once — the block grain is what lets a 10⁵–10⁶-machine
+  fleet serve under a fixed RSS ceiling.  A point query touches its
+  machine's block once, however many cells its window spans.
 * **overlay tier** — a sparse ``(machine, day) -> 24-vector`` of counts
   from *streamed* events (``POST /v1/ingest`` or stdin JSONL).  The
   overlay is always resident (it only holds what was streamed) and is
@@ -82,6 +83,7 @@ working past the end of the bootstrap trace.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import zipfile
@@ -150,9 +152,9 @@ def counts_from_columns(cols: EventColumns) -> np.ndarray:
     Vectorized but binning-identical to
     :class:`repro.prediction.base.CountMatrix`: ``day, rem =
     divmod(start, DAY)``; ``hour = rem // HOUR``; events past the last
-    whole day are dropped.  ``np.divmod`` / ``np.floor_divide`` run the
-    same fmod-and-correct algorithm as CPython's float ``divmod``, so
-    the two paths bin every float start identically (property-tested).
+    whole day are dropped.  The vector form is an exact floor-and-correct
+    division (:func:`repro.serve.paging.counts_from_event_rows`), so the
+    two paths bin every float start identically (property-tested).
     """
     from .paging import counts_from_event_rows
 
@@ -447,25 +449,53 @@ class ServeState:
         else:
             yield self.machine_lo, self.machine_hi, None
 
-    def _base_cell(self, machine_id: int, day: int, hour: int) -> int:
+    def _base_row(self, machine_id: int) -> Optional[np.ndarray]:
+        """The machine's ``(base_n_days, 24)`` base-tier counts (``None``
+        without a base tier): one pager touch.  Callers hold
+        ``self._lock``."""
         if self._base is not None:
-            return int(self._base[machine_id, day, hour])
+            return self._base[machine_id]
         if self._pager is not None:
-            return self._pager.cell(machine_id, day, hour)
-        return 0
+            return self._pager.row(machine_id)
+        return None
 
-    def _cell_count(self, machine_id: int, day: int, hour: int) -> int:
-        """Base + overlay count of one (machine, day, hour) cell.
+    def _window_totals(
+        self,
+        machine_id: int,
+        cells: list[tuple[int, int, float]],
+        shifts: Iterable[int],
+    ) -> list[float]:
+        """Per day shift, the window's ``total += overlap * count`` over
+        its cells in cell order, each count base + overlay.
 
-        Callers hold ``self._lock``.
+        The base row is fetched once, at the first cell that needs it,
+        so the pager sees one touch per call (and none when every cell
+        lies past the base tier).  Callers hold ``self._lock``.
         """
-        total = 0
-        if 0 <= day < self.base_n_days:
-            total += self._base_cell(machine_id, day, hour)
-        vec = self._overlay.get((machine_id, day))
-        if vec is not None:
-            total += int(vec[hour])
-        return total
+        horizon = self.horizon_day
+        base_days = self.base_n_days
+        overlay = self._overlay
+        row = None
+        fetched = False
+        totals = []
+        for shift in shifts:
+            total = 0.0
+            for cell_day, hour, overlap in cells:
+                day = cell_day + shift
+                if not 0 <= day < horizon:
+                    continue
+                count = 0
+                if day < base_days:
+                    if not fetched:
+                        row, fetched = self._base_row(machine_id), True
+                    if row is not None:
+                        count = int(row[day, hour])
+                vec = overlay.get((machine_id, day))
+                if vec is not None:
+                    count += int(vec[hour])
+                total += overlap * count
+            totals.append(total)
+        return totals
 
     # -- ingest ---------------------------------------------------------------
 
@@ -509,7 +539,7 @@ class ServeState:
                 f"machine {machine_id} outside fleet [0, {self.n_machines})"
             )
         self._check_owned(machine_id)
-        if not np.isfinite(start) or not np.isfinite(end) or start < 0:
+        if not math.isfinite(start) or not math.isfinite(end) or start < 0:
             raise ServeError(
                 f"ingest event needs finite start >= 0 and end (got "
                 f"[{start}, {end}])"
@@ -556,7 +586,7 @@ class ServeState:
                     continue
             tails[ev.machine_id] = ev
             accepted.append(ev)
-            day = int(np.divmod(ev.start, DAY)[0])
+            day = int(divmod(ev.start, DAY)[0])
             if day + 1 > horizon:
                 horizon = day + 1
         return ValidatedBatch(
@@ -590,7 +620,7 @@ class ServeState:
 
     def _apply_locked(self, batch: ValidatedBatch) -> None:
         for ev in batch.accepted:
-            day_f, rem = np.divmod(ev.start, DAY)
+            day_f, rem = divmod(ev.start, DAY)
             day = int(day_f)
             hour = int(rem // HOUR)
             key = (ev.machine_id, day)
@@ -828,13 +858,7 @@ class ServeState:
         )
         cells = query.hour_cells()
         with self._lock:
-            total = 0.0
-            for cell_day, hour, overlap in cells:
-                if 0 <= cell_day < self.horizon_day:
-                    total += overlap * self._cell_count(
-                        machine_id, cell_day, hour
-                    )
-            return total
+            return self._window_totals(machine_id, cells, (0,))[0]
 
     def _check_owned(self, machine_id: int) -> None:
         if not self.machine_lo <= machine_id < self.machine_hi:
@@ -876,19 +900,10 @@ class ServeState:
                 "ingest a longer trace first"
             )
         cells = query.hour_cells()
-        horizon = self.horizon_day
         with self._lock:
-            counts = []
-            for d in days:
-                shift = d - query.day
-                total = 0.0
-                for cell_day, hour, overlap in cells:
-                    day = cell_day + shift
-                    if 0 <= day < horizon:
-                        total += overlap * self._cell_count(
-                            query.machine_id, day, hour
-                        )
-                counts.append(total)
+            counts = self._window_totals(
+                query.machine_id, cells, [d - query.day for d in days]
+            )
         return np.asarray(counts, dtype=float)
 
     def _reduce(self, counts: np.ndarray) -> float:

@@ -4,9 +4,11 @@ A serve process (the CLI, the router, each spawned worker) imports only
 the trace-reading, prediction and serving layers.  The generator, the
 simulation stack and scipy stay out of its import graph: serving never
 synthesizes a sample, and loading them cost every serve interpreter
-about a second and 70 MiB.  ``repro`` and ``repro.traces`` export their
-public names lazily (PEP 562) so that this holds while
-``from repro import generate_dataset`` keeps working.
+about a second and 70 MiB.  Of the prediction layer it loads only
+``repro.prediction.base`` (``PredictionQuery``), not the other
+predictors or the evaluation harness.  ``repro``, ``repro.traces`` and
+``repro.prediction`` export their public names lazily (PEP 562) so that
+this holds while ``from repro import generate_dataset`` keeps working.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.prediction
 import repro.traces
 from repro.config import FgcsConfig, TestbedConfig
 from repro.serve import ServeClient
@@ -80,6 +83,8 @@ def test_serve_entry_points_import_no_generator_or_scipy():
     modules = json.loads(proc.stdout)
     assert "repro.serve.router" in modules
     assert _forbidden(modules) == []
+    prediction = [m for m in modules if m.startswith("repro.prediction.")]
+    assert prediction == ["repro.prediction.base"]
 
 
 # -- a live router and its workers ---------------------------------------------
@@ -196,7 +201,9 @@ def test_live_router_and_workers_never_map_scipy(tiny_store):
 
 
 @pytest.mark.parametrize(
-    "package", [repro, repro.traces], ids=lambda p: p.__name__
+    "package",
+    [repro, repro.traces, repro.prediction],
+    ids=lambda p: p.__name__,
 )
 class TestLazyExports:
     def test_every_exported_name_resolves_and_is_listed(self, package):
@@ -230,3 +237,5 @@ class TestLazyExports:
 def test_root_and_traces_export_the_same_objects():
     for name in ("TraceDataset", "generate_dataset", "load_dataset"):
         assert getattr(repro, name) is getattr(repro.traces, name)
+    for name in ("HistoryWindowPredictor", "evaluate_predictors"):
+        assert getattr(repro, name) is getattr(repro.prediction, name)

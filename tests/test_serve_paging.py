@@ -15,6 +15,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +26,7 @@ import pytest
 
 from repro.config import FgcsConfig, TestbedConfig
 from repro.core.events import UnavailabilityEvent
-from repro.errors import ServeError
+from repro.errors import ServeError, TraceError
 from repro.prediction.base import PredictionQuery
 from repro.prediction.history import HistoryWindowPredictor
 from repro.serve import BlockPager, ServeState, counts_from_columns
@@ -45,6 +47,21 @@ def fleet_store(tmp_path_factory):
     root = tmp_path_factory.mktemp("paging") / "fleet"
     generate_shards(config, root, 4, format="binary")
     return open_shards(root)
+
+
+def _private_copy(fleet_store, tmp_path):
+    """A copy of the store whose files no other test has touched."""
+    shutil.copytree(fleet_store.root, tmp_path / "fleet")
+    return open_shards(tmp_path / "fleet")
+
+
+def _shard0_touched(store):
+    """A pager that has verified and indexed shard 0 (by paging in its
+    first block), its last block, and the shard's file."""
+    pager = BlockPager(store, block_machines=1)
+    first, *_, last = [b for b in pager.blocks if b.shard == 0]
+    pager.counts(first.index)
+    return pager, last, store.root / store.manifest.shards[0].path
 
 
 @pytest.fixture(scope="module")
@@ -114,15 +131,9 @@ class TestBlockCounts:
     def test_corrupted_shard_detected_on_first_touch(
         self, fleet_store, tmp_path
     ):
-        import shutil
-
-        from repro.errors import TraceError
-
-        root = tmp_path / "corrupt"
-        shutil.copytree(fleet_store.root, root)
-        store = open_shards(root)
+        store = _private_copy(fleet_store, tmp_path)
         victim = store.manifest.shards[1]
-        path = root / victim.path
+        path = store.root / victim.path
         payload = bytearray(path.read_bytes())
         payload[-1] ^= 0xFF
         path.write_bytes(bytes(payload))
@@ -133,6 +144,74 @@ class TestBlockCounts:
         bad = next(b for b in pager.blocks if b.shard == 1)
         with pytest.raises(TraceError, match="fingerprint"):
             pager.counts(bad.index)
+
+    def test_shard_truncated_after_first_touch_fails_loudly(
+        self, fleet_store, tmp_path
+    ):
+        store = _private_copy(fleet_store, tmp_path)
+        pager, last, path = _shard0_touched(store)
+        os.truncate(path, 0)
+        with pytest.raises(TraceError, match=re.escape(str(path))):
+            pager.counts(last.index)
+
+    def test_shard_replaced_after_first_touch_fails_loudly(
+        self, fleet_store, tmp_path
+    ):
+        # Rewriting a store in place renames new files over the old
+        # ones; the recorded row index describes the old file only.
+        store = _private_copy(fleet_store, tmp_path)
+        pager, last, path = _shard0_touched(store)
+        shutil.copy(path, path.with_name("incoming"))
+        os.replace(path.with_name("incoming"), path)
+        with pytest.raises(TraceError, match="replaced"):
+            pager.counts(last.index)
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps"
+    )
+    def test_rebuilds_leave_no_mapping_of_the_shard(
+        self, fleet_store, tmp_path
+    ):
+        store = _private_copy(fleet_store, tmp_path)
+        pager = BlockPager(store, block_machines=2, max_blocks=1)
+        for block in pager.blocks:
+            pager.counts(block.index)
+        assert pager.stats().evictions > 0
+        maps = Path("/proc/self/maps").read_text()
+        for info in store.manifest.shards:
+            assert str((store.root / info.path).resolve()) not in maps
+
+    def test_row_index_read_in_chunks(self, fleet_store, monkeypatch):
+        # Index a shard a few rows per read: the per-chunk searches must
+        # add up to the whole-column search at every machine.
+        whole = BlockPager(fleet_store, block_machines=1)
+        monkeypatch.setattr("repro.serve.paging._INDEX_CHUNK_ROWS", 7)
+        chunked = BlockPager(fleet_store, block_machines=1)
+        for block in whole.blocks:
+            assert np.array_equal(
+                chunked.counts(block.index), whole.counts(block.index)
+            )
+
+    def test_jsonl_store_pages_the_same_counts(self, fleet_store, tmp_path):
+        write_shards(fleet_store.load_full(), tmp_path / "jsonl", 4)
+        jsonl = BlockPager(open_shards(tmp_path / "jsonl"), block_machines=2)
+        binary = BlockPager(fleet_store, block_machines=2)
+        assert len(jsonl.blocks) == len(binary.blocks)
+        for block in binary.blocks:
+            assert np.array_equal(
+                jsonl.counts(block.index), binary.counts(block.index)
+            )
+
+    def test_hits_count_one_touch_per_query(self, fleet_store):
+        state = ServeState.from_store(fleet_store, block_machines=2)
+        query = PredictionQuery(
+            machine_id=5, day=9, start_hour=22.0, duration_hours=6.0
+        )
+        state.predict_survival(query)
+        assert (state.tier_stats().hits, state.tier_stats().rebuilds) == (0, 1)
+        state.predict_survival(query)
+        state.predict_count(query)
+        assert (state.tier_stats().hits, state.tier_stats().rebuilds) == (2, 1)
 
 
 class TestPagedStateMatchesBatch:

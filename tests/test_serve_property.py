@@ -3,10 +3,11 @@
 Extends the ``tests/test_accumulators_property.py`` merge-equivalence
 patterns to live-update state.  The contracts, for *any* small fleet:
 
-* :func:`repro.serve.counts_from_columns` (vectorized ``np.divmod``
+* :func:`repro.serve.counts_from_columns` (vectorized floor-and-correct
   binning) equals :class:`repro.prediction.base.CountMatrix` (scalar
   CPython ``divmod`` binning) **exactly** — both paths bin every float
-  start into the same (day, hour) cell;
+  start into the same (day, hour) cell, also at every hour and day
+  boundary and one ulp either side of it;
 * incremental ingest of the fleet's events one at a time (and in any
   batch split) answers every query identically to the batch state built
   from the same events in one shot — counts are integer sums, so
@@ -18,6 +19,9 @@ patterns to live-update state.  The contracts, for *any* small fleet:
 """
 
 from __future__ import annotations
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -31,7 +35,7 @@ from repro.prediction.base import CountMatrix, PredictionQuery
 from repro.serve import ServeState, counts_from_columns
 from repro.traces.dataset import TraceDataset
 from repro.traces.records import EventColumns, STATE_TO_CODE
-from repro.units import DAY
+from repro.units import DAY, HOUR
 
 _STATES = (AvailState.S3, AvailState.S4, AvailState.S5)
 
@@ -115,12 +119,39 @@ def _probe_queries(state: ServeState) -> list[PredictionQuery]:
     return queries
 
 
+def _with_boundary_starts(fleet: TraceDataset) -> TraceDataset:
+    """The fleet plus events starting at every ``k·HOUR`` of its span
+    (so at every ``k·DAY`` too) and one ulp either side of it: where a
+    binning that is one ulp off — a ``>=`` for a ``>``, an inclusive
+    last-day cut — lands in the wrong cell."""
+    events = list(fleet.events)
+    for k in range(int(fleet.span // HOUR) + 1):
+        edge = k * HOUR
+        for start in (
+            math.nextafter(edge, -math.inf),
+            edge,
+            math.nextafter(edge, math.inf),
+        ):
+            if not 0.0 <= start <= fleet.span:
+                continue
+            events.append(
+                UnavailabilityEvent(
+                    machine_id=k % fleet.n_machines,
+                    start=start,
+                    end=min(start + 60.0, fleet.span + 1e-6),
+                    state=_STATES[k % len(_STATES)],
+                )
+            )
+    return dataclasses.replace(fleet, events=events)
+
+
 @given(fleet=fleets())
 @settings(max_examples=60, deadline=None)
 def test_vectorized_binning_equals_count_matrix(fleet: TraceDataset):
-    matrix = CountMatrix(fleet)
-    columns = EventColumns.from_dataset(fleet)
-    assert np.array_equal(counts_from_columns(columns), matrix.counts)
+    for dataset in (fleet, _with_boundary_starts(fleet)):
+        matrix = CountMatrix(dataset)
+        columns = EventColumns.from_dataset(dataset)
+        assert np.array_equal(counts_from_columns(columns), matrix.counts)
 
 
 @given(fleet=fleets(), data=st.data())
