@@ -283,15 +283,31 @@ class BatchDetector:
         t0 = t0[keep]
         t1 = t1[keep]
 
+        # Per-run sums over up samples, each the difference of two entries
+        # of one prefix-sum buffer that is refilled per column.  The leading
+        # zero and the sequential cumsum match the legacy
+        # concatenate(([0], cumsum(...))) arrays entry for entry; up counts
+        # are integers well below 2**53, exact in float64.
         up = batch.machine_up
-        load_cs = np.concatenate(([0.0], np.cumsum(np.where(up, batch.host_load, 0.0))))
-        mem_cs = np.concatenate(([0.0], np.cumsum(np.where(up, batch.free_mb, 0.0))))
-        upcount_cs = np.concatenate(([0], np.cumsum(up.astype(np.int64))))
-        cnt = upcount_cs[ends] - upcount_cs[starts]
+        prefix = np.empty(n + 1)
+        prefix[0] = 0.0
+        body = prefix[1:]
+
+        def run_sums() -> np.ndarray:
+            np.cumsum(body, out=body)
+            return prefix[ends] - prefix[starts]
+
+        np.copyto(body, up)
+        cnt = run_sums()
+        sums = []
+        for column in (batch.host_load, batch.free_mb):
+            body[...] = 0.0
+            np.copyto(body, column, where=up)
+            sums.append(run_sums())
         denom = np.maximum(cnt, 1)
         with np.errstate(invalid="ignore"):
-            mean_load = np.where(cnt > 0, (load_cs[ends] - load_cs[starts]) / denom, np.nan)
-            mean_mem = np.where(cnt > 0, (mem_cs[ends] - mem_cs[starts]) / denom, np.nan)
+            mean_load = np.where(cnt > 0, sums[0] / denom, np.nan)
+            mean_mem = np.where(cnt > 0, sums[1] / denom, np.nan)
 
         out = np.empty(run_cls.shape[0], dtype=EVENT_DTYPE)
         out["machine_id"] = machine_id

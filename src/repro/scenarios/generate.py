@@ -371,7 +371,7 @@ def _generate_scenario_fleet(
 
 def _generate_scenario_shard(
     payload: tuple[
-        CompiledScenario, ExecutionConfig, int, int, int, str, bool, str
+        CompiledScenario, ExecutionConfig, int, int, int, str, bool, str, bool
     ],
 ) -> tuple[int, str, Optional[str], Optional[dict]]:
     """Generate one scenario shard and write its file — the work unit.
@@ -379,7 +379,8 @@ def _generate_scenario_shard(
     Mirrors :func:`repro.traces.shards._generate_shard`: runs wholly in
     the worker, writes shard-local machine ids directly, caches the
     shard columns under a per-range scenario key, and returns
-    ``(n_events, sha256, cache_key, telemetry)``.
+    ``(n_events, sha256, cache_key, telemetry)``.  Draws are counted only
+    when ``count_draws`` says the parent registry is enabled.
     """
     from ..traces.shards import (
         _atomic_save_columns,
@@ -389,7 +390,10 @@ def _generate_scenario_shard(
     )
     from ..traces.records import EVENT_DTYPE, EventColumns
 
-    compiled, execution, index, lo, hi, out_dir, keep_hourly_load, fmt = payload
+    (
+        compiled, execution, index, lo, hi, out_dir, keep_hourly_load, fmt,
+        count_draws,
+    ) = payload
     registry = get_registry()
     cache = None
     key: Optional[str] = None
@@ -417,7 +421,7 @@ def _generate_scenario_shard(
         for mid in range(lo, hi):
             rows, hourly_row, counters, synth_seconds, detect_seconds = (
                 _scenario_machine_columns(
-                    (compiled, mid, mid - lo, keep_hourly_load, True)
+                    (compiled, mid, mid - lo, keep_hourly_load, count_draws)
                 )
             )
             row_blocks.append(rows)
@@ -513,7 +517,7 @@ def generate_scenario_shards(
     faults = execution.fault_context("scenario.shard", quarantine=True)
     payloads = [
         (compiled, execution, index, lo, hi, str(out_dir), keep_hourly_load,
-         format)
+         format, registry.enabled)
         for index, (lo, hi) in enumerate(ranges)
     ]
     with registry.span("generate.shards"):

@@ -3,8 +3,12 @@
 For each machine: plan workload episodes, synthesize monitor samples, run
 the unavailability detector, keep the events plus an hourly load summary,
 and discard the raw samples.  Memory use stays at one machine's samples
-(~25 MB) regardless of testbed size — each worker builds only its own
-machine's samples and returns events plus one hourly-load row.
+regardless of testbed size — each worker builds only its own machine's
+samples and returns events plus one hourly-load row.  For a 92-day
+machine at the 10 s monitor period the shared per-config
+:class:`~repro.workloads.loadmodel.SynthContext` raises a worker's peak
+resident set by ~31 MiB and each machine by ~23 MiB more
+(``tests/test_generate_memory.py`` bounds the sum).
 
 Machines are independent units of work drawing from per-machine random
 streams (``RngFactory(seed).generator(kind, machine_id)``), so generation

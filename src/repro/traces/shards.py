@@ -706,7 +706,7 @@ def convert_shards(
 
 
 def _generate_shard(
-    payload: tuple[FgcsConfig, int, int, int, str, bool, str],
+    payload: tuple[FgcsConfig, int, int, int, str, bool, str, bool],
 ) -> tuple[int, str, Optional[str], Optional[dict]]:
     """Generate one shard and write its file — the parallel work unit.
 
@@ -723,13 +723,16 @@ def _generate_shard(
 
     ``telemetry`` carries the shard's summed synth/detect seconds and rng
     draw counters back to the parent (a pool worker's own registry is a
-    disabled no-op); it is ``None`` on a cache hit.
+    disabled no-op); it is ``None`` on a cache hit.  Draws are counted
+    only when the payload's ``count_draws`` says the parent registry is
+    enabled: the counting proxy adds ~30% to planning a machine, and a
+    disabled parent discards the counts.
     """
     from ..obs.metrics import get_registry
     from .generate import _generate_machine_columns, dataset_metadata
     from .records import EVENT_DTYPE, EventColumns
 
-    config, index, lo, hi, out_dir, keep_hourly_load, fmt = payload
+    config, index, lo, hi, out_dir, keep_hourly_load, fmt, count_draws = payload
     registry = get_registry()
     execution = config.execution
     cache = None
@@ -753,7 +756,7 @@ def _generate_shard(
         for mid in range(lo, hi):
             rows, hourly_row, counters, synth_seconds, detect_seconds = (
                 _generate_machine_columns(
-                    (config, mid, mid - lo, keep_hourly_load, True)
+                    (config, mid, mid - lo, keep_hourly_load, count_draws)
                 )
             )
             row_blocks.append(rows)
@@ -874,7 +877,8 @@ def generate_shards(
     backend = get_backend(execution)
     faults = execution.fault_context("generate.shard", quarantine=True)
     payloads = [
-        (config, index, lo, hi, str(out_dir), keep_hourly_load, format)
+        (config, index, lo, hi, str(out_dir), keep_hourly_load, format,
+         registry.enabled)
         for index, (lo, hi) in enumerate(ranges)
     ]
     with registry.span("generate.shards"):

@@ -147,28 +147,43 @@ def synthesize_samples(
     return SampleBatch(times, load, free, up)
 
 
-def _ar1_from(body: np.ndarray, eps0: float, rho: float) -> np.ndarray:
-    """:func:`_ar1` applied to pre-drawn innovations.
+def _ar1_drawn(rng: np.random.Generator, buf: np.ndarray, rho: float) -> np.ndarray:
+    """:func:`_ar1` over ``len(buf) - 1`` samples, drawn into ``buf``.
 
-    ``body`` is a slice of a batched ``standard_normal`` draw and ``eps0``
-    the warm-start value that legacy ``_ar1`` drew second; reproducing the
-    same ``eps`` array through ``lfilter`` keeps the series bit-identical
-    to the per-call version.
+    One ``standard_normal`` call fills ``buf`` with the same stream values
+    as legacy ``_ar1``'s two calls: the body, then the warm start.  The
+    innovations are scaled in place, so the only new array is the filter
+    output, bit-identical to the per-call version.
     """
-    eps = body * np.sqrt(1.0 - rho * rho)
-    eps[0] = eps0
+    rng.standard_normal(out=buf)
+    eps = buf[:-1]
+    eps *= np.sqrt(1.0 - rho * rho)
+    eps[0] = buf[-1]
     return scipy.signal.lfilter([1.0], [1.0, -rho], eps)
+
+
+def _logistic_inplace(x: np.ndarray) -> np.ndarray:
+    """``1.0 / (1.0 + np.exp(-x))``, computed in ``x``'s own buffer."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
+
+
+#: Samples per chunk when :class:`SynthContext` evaluates the intensity.
+_CTX_CHUNK = 1 << 16
 
 
 class SynthContext:
     """Machine-invariant precomputation shared across a fleet's synthesis.
 
     Everything here depends only on ``(config.lab, config.testbed,
-    config.monitor.period)`` — the sample grid, the diurnal intensity and
-    the load/memory modulation amplitudes are identical for every machine,
-    so the columnar path computes them once per config instead of once per
-    machine.  The arrays are marked read-only; per-machine state (AR(1)
-    series, episode overrides) is always written into fresh buffers.
+    config.monitor.period)`` — the sample grid, the load/memory modulation
+    amplitudes of the diurnal intensity and the hour-of-sample index are
+    identical for every machine, so the columnar path computes them once
+    per config instead of once per machine.  The arrays are marked
+    read-only; per-machine state (AR(1) series, episode overrides) is
+    always written into fresh buffers.
     """
 
     __slots__ = (
@@ -177,12 +192,12 @@ class SynthContext:
         "n",
         "times",
         "profile",
-        "intensity",
         "load_amp",
         "mem_amp",
         "avail",
         "n_hours",
         "hour_idx",
+        "hour_counts",
     )
 
     def __init__(self, config: FgcsConfig) -> None:
@@ -196,17 +211,34 @@ class SynthContext:
         self.n = int(span / period)
         self.times = (np.arange(self.n) + 1) * period
         self.profile = ActivityProfile(lab, config.testbed)
-        self.intensity = self.profile.intensity(self.times)
+        self.n_hours = int(span // HOUR)
+        # (times // HOUR).astype(int64), cast element by element into the
+        # index array rather than through a float temporary.
+        self.hour_idx = np.floor_divide(
+            self.times, HOUR, out=np.empty(self.n, dtype=np.int64), casting="unsafe"
+        )
+        np.minimum(self.hour_idx, self.n_hours - 1, out=self.hour_idx)
+        self.hour_counts = (
+            np.bincount(self.hour_idx, minlength=self.n_hours)
+            if self.n_hours
+            else np.zeros(0, dtype=np.int64)  # a sub-hour span has no hours
+        )
         # Same association order as the legacy expressions in
         # synthesize_samples: ((2.0 * (mod - light)) * intensity) and
         # (120.0 * intensity), so the remaining per-machine multiplies
-        # produce bit-identical floats.
-        self.load_amp = 2.0 * (lab.moderate_load_mean - lab.light_load_mean) * self.intensity
-        self.mem_amp = 120.0 * self.intensity
+        # produce bit-identical floats.  The intensity is elementwise in
+        # time, so it is evaluated a chunk at a time: its half-dozen
+        # temporaries never span the whole grid, and nothing keeps it.
+        load_scale = 2.0 * (lab.moderate_load_mean - lab.light_load_mean)
+        self.load_amp = np.empty(self.n)
+        self.mem_amp = np.empty(self.n)
+        for lo in range(0, self.n, _CTX_CHUNK):
+            hi = min(lo + _CTX_CHUNK, self.n)
+            intensity = self.profile.intensity(self.times[lo:hi])
+            np.multiply(load_scale, intensity, out=self.load_amp[lo:hi])
+            np.multiply(120.0, intensity, out=self.mem_amp[lo:hi])
         self.avail = config.testbed.machine_memory_mb - config.testbed.machine_kernel_mb
-        self.n_hours = int(span // HOUR)
-        self.hour_idx = np.minimum((self.times // HOUR).astype(np.int64), self.n_hours - 1)
-        for name in ("times", "intensity", "load_amp", "mem_amp", "hour_idx"):
+        for name in ("times", "load_amp", "mem_amp", "hour_idx", "hour_counts"):
             getattr(self, name).setflags(write=False)
 
 
@@ -226,7 +258,14 @@ def synth_context(config: FgcsConfig) -> SynthContext:
     return ctx
 
 
-_OVERLOAD_KINDS = (EpisodeKind.CPU, EpisodeKind.UPDATEDB, EpisodeKind.TRANSIENT)
+#: Row of :func:`_plant_episodes`' parameter table for each kind that
+#: overrides the load signal (URR episodes only take the machine down).
+_SIGNAL_ROW = {
+    EpisodeKind.CPU: 0,
+    EpisodeKind.TRANSIENT: 0,
+    EpisodeKind.UPDATEDB: 1,
+    EpisodeKind.MEMORY: 2,
+}
 
 
 def synthesize_samples_columns(
@@ -239,13 +278,15 @@ def synthesize_samples_columns(
 ) -> SampleBatch:
     """Columnar twin of :func:`synthesize_samples` — bit-identical output.
 
-    The legacy path makes four ``standard_normal`` calls per machine plus
-    two per episode; this one merges every run of consecutive normal draws
-    into a single batched call and slices the block, which NumPy's
-    generators guarantee yields the same stream values.  Episode windows
-    are located with one batched ``searchsorted`` and the baseline uses
-    the shared :class:`SynthContext` amplitudes, so per-machine work is
-    the AR(1) filters and the elementwise assembly only.
+    The machine holds its own three columns and little else.  Each
+    baseline AR(1) series is drawn with one ``standard_normal(n + 1)``
+    call into a shared innovation buffer (NumPy's generators yield the
+    same stream values however the draws are split), then scaled,
+    filtered, squashed and clipped in place over the shared
+    :class:`SynthContext` amplitudes.  Episodes are planted by
+    :func:`_plant_episodes` and the observation noise is clamped with
+    whole-array ``maximum``/``minimum`` plus one masked copy, so no
+    boolean gather or scatter touches the grid.
 
     When ``counters`` is given, ``counters["rng.draws.signal"]`` is
     incremented by the number of variates consumed from ``rng``.
@@ -254,106 +295,172 @@ def synthesize_samples_columns(
     period = ctx.period
     lab = config.lab
     th2 = config.thresholds.th2
-    draws = 0
 
     # --- baseline load + memory --------------------------------------------
     # Legacy draw order: SN(n), SN(1) for the load AR(1), then SN(n), SN(1)
-    # for the memory AR(1).  One block of 2n + 2 covers all four calls.
-    block = rng.standard_normal(2 * n + 2)
-    draws += 2 * n + 2
-    rho_smooth = float(np.exp(-period / (10 * 60.0)))
-    rho_mem = float(np.exp(-period / (30 * 60.0)))
-    smooth = _ar1_from(block[0:n], block[n], rho_smooth)
-    mem_noise = _ar1_from(block[n + 1 : 2 * n + 1], block[2 * n + 1], rho_mem)
-
-    usage_level = 1.0 / (1.0 + np.exp(-smooth))
-    load = lab.light_load_mean + ctx.load_amp * usage_level
+    # for the memory AR(1).
+    buf = np.empty(n + 1)
+    load = _ar1_drawn(rng, buf, float(np.exp(-period / (10 * 60.0))))
+    _logistic_inplace(load)
+    load *= ctx.load_amp
+    load += lab.light_load_mean
     np.clip(load, 0.0, th2 - _BASELINE_MARGIN, out=load)
 
-    resident = 250.0 + ctx.mem_amp * (1.0 / (1.0 + np.exp(-mem_noise)))
-    free = ctx.avail - resident
+    free = _ar1_drawn(rng, buf, float(np.exp(-period / (30 * 60.0))))
+    del buf  # freed before the noise draw: at most three grid columns live
+    _logistic_inplace(free)
+    free *= ctx.mem_amp
+    free += 250.0  # the resident set
+    np.subtract(ctx.avail, free, out=free)
+    draws = 2 * (n + 1)
 
     up = np.ones(n, dtype=bool)
-
-    # --- planted episodes ----------------------------------------------------
-    guest_ws = DEFAULT_GUEST_WORKING_SET_MB
-    rho_ep = float(np.exp(-period / (5 * 60.0)))
-    times = ctx.times
     if episodes:
-        i0s = np.searchsorted(times, [ep.start for ep in episodes], side="left")
-        i1s = np.searchsorted(times, [ep.end for ep in episodes], side="left")
-        # Consecutive overload episodes (CPU/UPDATEDB/TRANSIENT) each draw
-        # SN(k) + SN(1) and nothing else, so their innovations can be merged
-        # into one batched call.  URR episodes and windows that round to
-        # zero samples draw nothing and therefore do not break a run; a
-        # MEMORY episode draws uniforms first, so it flushes the run.
-        pending: list[tuple[int, int, float]] = []  # (i0, i1, level)
-        pending_total = 0
-
-        def _flush() -> None:
-            nonlocal pending_total, draws
-            if not pending:
-                return
-            blk = rng.standard_normal(pending_total)
-            draws += pending_total
-            off = 0
-            for i0, i1, level in pending:
-                k = i1 - i0
-                wobble = 0.08 * np.tanh(_ar1_from(blk[off : off + k], blk[off + k], rho_ep))
-                load[i0:i1] = np.clip(level + wobble, th2 + _OVERLOAD_MARGIN, 1.0)
-                off += k + 1
-            pending.clear()
-            pending_total = 0
-
-        for ep, i0, i1 in zip(episodes, i0s, i1s):
-            i0 = int(i0)
-            i1 = int(i1)
-            if i1 <= i0:
-                continue
-            k = i1 - i0
-            if ep.kind in _OVERLOAD_KINDS:
-                level = lab.updatedb_load if ep.kind is EpisodeKind.UPDATEDB else 0.80
-                pending.append((i0, i1, level))
-                pending_total += k + 1
-            elif ep.kind is EpisodeKind.MEMORY:
-                _flush()
-                free[i0:i1] = rng.uniform(15.0, guest_ws - 25.0, size=k)
-                blk = rng.standard_normal(k + 1)
-                draws += 2 * k + 1
-                load[i0:i1] = np.clip(
-                    0.40 + 0.10 * np.tanh(_ar1_from(blk[:k], blk[k], rho_ep)),
-                    0.05,
-                    th2 - _BASELINE_MARGIN,
-                )
-            elif ep.kind.is_urr:
-                up[i0:i1] = False
-        _flush()
+        draws += _plant_episodes(
+            episodes, config=config, ctx=ctx, rng=rng, load=load, free=free, up=up
+        )
 
     # --- observation noise -----------------------------------------------------
     if config.monitor.noise_std > 0:
         noise = rng.normal(1.0, config.monitor.noise_std, size=n)
         draws += n
-        load = load * noise
+        load *= noise
+        # Noise must not push baseline over Th2 or overloads under it:
+        # overloads take max(load, floor), the rest min(load, ceiling).
         over = load >= th2
         np.clip(load, 0.0, 1.0, out=load)
-        load[over] = np.maximum(load[over], th2 + _OVERLOAD_MARGIN / 2)
-        load[~over] = np.minimum(load[~over], th2 - _BASELINE_MARGIN / 2)
+        np.maximum(load, th2 + _OVERLOAD_MARGIN / 2, out=noise)
+        np.minimum(load, th2 - _BASELINE_MARGIN / 2, out=load)
+        np.copyto(load, noise, where=over)
 
     # SampleBatch.__init__ clips host load; the trusted path must match it.
     np.clip(load, 0.0, 1.0, out=load)
 
     if counters is not None:
         counters["rng.draws.signal"] = counters.get("rng.draws.signal", 0) + draws
-    return SampleBatch.from_validated(times, load, free, up)
+    return SampleBatch.from_validated(ctx.times, load, free, up)
+
+
+def _plant_episodes(
+    episodes: list[PlannedEpisode],
+    *,
+    config: FgcsConfig,
+    ctx: SynthContext,
+    rng: np.random.Generator,
+    load: np.ndarray,
+    free: np.ndarray,
+    up: np.ndarray,
+) -> int:
+    """Write a machine's planned episodes into its columns.
+
+    Returns the number of variates drawn from ``rng``.  Draws follow the
+    legacy order: each overload (CPU/UPDATEDB/TRANSIENT) episode takes
+    SN(k) + SN(1) for its wobble, a MEMORY episode takes U(k) for its
+    free memory and then SN(k) + SN(1); URR episodes and windows that
+    round to zero samples draw nothing.  So the normals form runs broken
+    only by the uniforms, each run one call into a flat innovation array.
+
+    Every episode's AR(1) wobble is then filtered at once: episodes are
+    grouped by the bit length of their sample count, padded to the
+    group's longest, and filtered along rows of one 2-D ``lfilter``
+    call.  The filter is causal, so whatever follows a row's end cannot
+    reach back into it, and row-wise filtering is bit-identical to the
+    legacy per-episode calls.  Planned episodes never overlap, so each
+    group lands in ``load`` with one scatter.
+    """
+    lab = config.lab
+    th2 = config.thresholds.th2
+    times = ctx.times
+    i0s = np.searchsorted(times, [ep.start for ep in episodes], side="left")
+    i1s = np.searchsorted(times, [ep.end for ep in episodes], side="left")
+    # (level, scale, floor, ceiling) of level + scale * tanh(ar1), indexed
+    # by _SIGNAL_ROW.
+    overload = (0.80, 0.08, th2 + _OVERLOAD_MARGIN, 1.0)
+    params = np.array(
+        [
+            overload,
+            (lab.updatedb_load,) + overload[1:],
+            (0.40, 0.10, 0.05, th2 - _BASELINE_MARGIN),
+        ]
+    )
+    row_i0: list[int] = []
+    row_k: list[int] = []
+    row_kind: list[int] = []
+    last_end = 0
+    for ep, i0, i1 in zip(episodes, i0s.tolist(), i1s.tolist()):
+        if i1 <= i0:
+            continue
+        if i0 < last_end:
+            raise ConfigError("planned episodes must be time-ordered and disjoint")
+        last_end = i1
+        if ep.kind.is_urr:
+            up[i0:i1] = False
+            continue
+        row_i0.append(i0)
+        row_k.append(i1 - i0)
+        row_kind.append(_SIGNAL_ROW[ep.kind])
+    if not row_k:
+        return 0
+
+    i0 = np.array(row_i0)
+    k = np.array(row_k)
+    kind = np.array(row_kind)
+    ends = np.cumsum(k + 1)
+    off = ends - (k + 1)  # where each row's k + 1 normals start
+    total = int(ends[-1])
+    width = int(k.max())
+    z = np.empty(total + width)
+    z[total:] = 0.0  # the padding read past the last row
+    draws = total
+    pos = 0
+    guest_ws = DEFAULT_GUEST_WORKING_SET_MB
+    for r in np.flatnonzero(kind == _SIGNAL_ROW[EpisodeKind.MEMORY]).tolist():
+        if off[r] > pos:
+            rng.standard_normal(out=z[pos : off[r]])
+        lo = row_i0[r]
+        free[lo : lo + row_k[r]] = rng.uniform(15.0, guest_ws - 25.0, size=row_k[r])
+        draws += row_k[r]
+        pos = off[r]
+    if total > pos:
+        rng.standard_normal(out=z[pos:total])
+
+    rho = float(np.exp(-ctx.period / (5 * 60.0)))
+    scale = np.sqrt(1.0 - rho * rho)
+    windows = np.lib.stride_tricks.sliding_window_view(z, width)
+    bits = np.frexp(k - 1)[1]
+    for b in np.unique(bits).tolist():
+        sel = np.flatnonzero(bits == b)
+        k_sel = k[sel]
+        w = int(k_sel.max())
+        eps = windows[off[sel], :w]  # a copy: fancy indexing
+        eps *= scale
+        eps[:, 0] = z[off[sel] + k_sel]  # the warm start, drawn last
+        wobble = scipy.signal.lfilter([1.0], [1.0, -rho], eps, axis=1)
+        level, amp, floor, ceiling = params[kind[sel]].T[:, :, None]
+        np.tanh(wobble, out=wobble)
+        wobble *= amp
+        wobble += level
+        np.clip(wobble, floor, ceiling, out=wobble)
+        cols = np.arange(w)
+        valid = cols < k_sel[:, None]
+        load[(i0[sel, None] + cols)[valid]] = wobble[valid]
+    return draws
 
 
 def hourly_mean_load_columns(samples: SampleBatch, ctx: SynthContext) -> np.ndarray:
     """:meth:`MachineTraceGenerator.hourly_mean_load` on a columnar batch,
-    reusing the context's precomputed hour indices."""
+    reusing the context's precomputed hour indices and per-hour counts.
+
+    Down samples enter the per-hour sums as ``+0.0`` rather than being
+    gathered out: a ``bincount`` sum starts at ``+0.0`` and so is never
+    ``-0.0``, and adding ``+0.0`` to any other float returns it unchanged,
+    so the sums are bit-identical to summing the up samples alone.
+    """
     up = samples.machine_up
-    idx = ctx.hour_idx[up]
-    sums = np.bincount(idx, weights=samples.host_load[up], minlength=ctx.n_hours)
-    counts = np.bincount(idx, minlength=ctx.n_hours)
+    weights = np.where(up, samples.host_load, 0.0)
+    sums = np.bincount(ctx.hour_idx, weights=weights, minlength=ctx.n_hours)
+    down_idx = ctx.hour_idx[~up]
+    counts = ctx.hour_counts - np.bincount(down_idx, minlength=ctx.n_hours)
     with np.errstate(invalid="ignore"):
         return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 

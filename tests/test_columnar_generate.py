@@ -24,6 +24,7 @@ from repro.core.detector import BatchDetector
 from repro.core.samples import SampleBatch
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION
 from repro.parallel.cache import DatasetCache, dataset_cache_key
+from repro.rng import CountingRng, RngFactory
 from repro.traces import (
     generate_dataset,
     generate_dataset_columns,
@@ -39,6 +40,13 @@ from repro.traces.generate import (
 )
 from repro.traces.records import EVENT_DTYPE, events_to_columns
 from repro.units import DAY, HOUR
+from repro.workloads.labuser import EpisodeKind, EpisodePlanner
+from repro.workloads.loadmodel import (
+    MachineTraceGenerator,
+    synth_context,
+    synthesize_samples,
+    synthesize_samples_columns,
+)
 from repro.workloads.profiles import PROFILES
 
 PERIOD = 10.0
@@ -157,6 +165,43 @@ class TestMachineDifferential:
             assert rows.tobytes() == events_to_columns(events).tobytes()
             assert np.array_equal(hourly, hourly_c, equal_nan=True)
 
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_samples_equal_legacy_synthesis(self, profile):
+        # Column by column, bit for bit: free memory and load outside any
+        # event reach the output only through means, so compare them here.
+        config = PROFILES[profile](n_machines=2, days=7, seed=11)
+        gen = MachineTraceGenerator(config)
+        factory = RngFactory(config.seed)
+        for mid in range(2):
+            episodes = gen.plan(mid)
+            legacy = synthesize_samples(
+                episodes,
+                config=config,
+                profile=gen.profile,
+                rng=factory.generator("signal", mid),
+            )
+            columnar = synthesize_samples_columns(
+                episodes,
+                config=config,
+                ctx=synth_context(config),
+                rng=factory.generator("signal", mid),
+            )
+            for name in ("times", "host_load", "free_mb", "machine_up"):
+                want = getattr(legacy, name).tobytes()
+                assert getattr(columnar, name).tobytes() == want, name
+
+    def test_sub_hour_span(self):
+        # A span shorter than an hour has no hourly cells to count.
+        config = dataclasses.replace(
+            _tiny_config(), testbed=TestbedConfig(n_machines=1, duration=1800.0)
+        )
+        events, _ = _generate_machine((config, 0, False))
+        rows, hourly, _, _, _ = _generate_machine_columns(
+            (config, 0, 0, False, False)
+        )
+        assert rows.tobytes() == events_to_columns(events).tobytes()
+        assert hourly is None
+
     def test_shard_local_machine_id_relabels_only_that_column(self):
         config = _tiny_config()
         rows, _, _, _, _ = _generate_machine_columns((config, 2, 0, False, False))
@@ -176,11 +221,37 @@ class TestMachineDifferential:
             (config, 0, 0, True, True)
         )
         assert counters["rng.draws.busyness"] == 1
-        assert counters["rng.draws.plan"] > 0
-        # One AR(1) block is 2n+2 normals before any episode/noise draws.
-        n = int(config.testbed.duration // config.monitor.period)
-        assert counters["rng.draws.signal"] >= 2 * n + 2
         assert synth_s > 0 and detect_s > 0
+
+        # The legacy synthesizer's variates, counted by the proxy itself:
+        # however the columnar path splits or merges its draw calls, the
+        # count it reports must not move.
+        gen = MachineTraceGenerator(config)
+        factory = RngFactory(config.seed)
+        plan_rng = CountingRng(factory.generator("plan", 0))
+        episodes = EpisodePlanner(
+            gen.profile, plan_rng, busyness=gen.busyness(0)
+        ).plan()
+        kinds = {ep.kind for ep in episodes}
+        assert EpisodeKind.MEMORY in kinds and EpisodeKind.CPU in kinds
+        legacy_rng = CountingRng(factory.generator("signal", 0))
+        synthesize_samples(
+            episodes, config=config, profile=gen.profile, rng=legacy_rng
+        )
+        assert counters["rng.draws.plan"] == plan_rng.draws
+        assert counters["rng.draws.signal"] == legacy_rng.draws
+
+        # And the columnar path's own tally is what it really drew.
+        columnar_rng = CountingRng(factory.generator("signal", 0))
+        tally: dict = {}
+        synthesize_samples_columns(
+            episodes,
+            config=config,
+            ctx=synth_context(config),
+            rng=columnar_rng,
+            counters=tally,
+        )
+        assert tally["rng.draws.signal"] == columnar_rng.draws == legacy_rng.draws
 
 
 # -- end-to-end golden byte identity ---------------------------------------
@@ -310,3 +381,24 @@ class TestCliUnchanged:
         draws = generation["rng_draws"]
         assert draws["busyness"] == 2
         assert draws["plan"] > 0 and draws["signal"] > 0
+
+    def test_sharded_rng_draws_match_monolithic(self, tmp_path):
+        # Shard work units count draws only when the parent registry is
+        # enabled; a sharded run must still report the monolithic totals.
+        common = ["--machines", "3", "--days", "5", "--seed", "42"]
+        draws = {}
+        for name, extra in (
+            ("mono", []),
+            ("sharded", ["--shards", "2", "--format", "binary"]),
+        ):
+            manifest_path = tmp_path / f"{name}.json"
+            rc = cli.main(
+                ["generate", str(tmp_path / name), *extra, *common,
+                 "--metrics-out", str(manifest_path)]
+            )
+            assert rc == 0
+            manifest = json.loads(manifest_path.read_text())
+            draws[name] = manifest["generation"]["rng_draws"]
+        assert draws["mono"]["busyness"] == 3
+        assert draws["mono"]["signal"] > 0
+        assert draws["sharded"] == draws["mono"]

@@ -96,6 +96,27 @@ class TestSignalSynthesis:
             if mask.any():
                 assert not trace.samples.machine_up[mask].any()
 
+    def test_columnar_rejects_overlapping_episodes(self, gen):
+        # The columnar synthesizer writes all episodes with one scatter per
+        # length group, which is only the legacy result when none overlap.
+        from repro.workloads.labuser import PlannedEpisode
+        from repro.workloads.loadmodel import (
+            synth_context,
+            synthesize_samples_columns,
+        )
+
+        episodes = [
+            PlannedEpisode(EpisodeKind.CPU, 600.0, 1800.0),
+            PlannedEpisode(EpisodeKind.MEMORY, 1200.0, 2400.0),
+        ]
+        with pytest.raises(ConfigError, match="disjoint"):
+            synthesize_samples_columns(
+                episodes,
+                config=gen.config,
+                ctx=synth_context(gen.config),
+                rng=np.random.default_rng(0),
+            )
+
 
 class TestDetectionRoundTrip:
     """The detector must recover exactly the planted detectable episodes."""
