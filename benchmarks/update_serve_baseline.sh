@@ -4,10 +4,9 @@
 #
 # Run from the repo root after an intentional serving-layer change,
 # review the diff (direction-aware: request latency up = regression,
-# QPS down = regression), and commit the result.  The sequence mirrors
-# the serve CI job — generate a 200-machine binary shard fleet, start
-# the daemon, run the query smoke plus a short sustained load, shut it
-# down — so the metric set and magnitudes match what CI measures.
+# QPS down = regression), and commit the result.  It runs the CI smoke
+# (benchmarks/serve_smoke.sh) on the same 200-machine fleet, so the
+# metric set and magnitudes match what CI measures.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -16,38 +15,8 @@ trap 'rm -rf "$tmp"' EXIT
 
 PYTHONPATH=src python -m repro.cli generate "$tmp/fleet" \
     --machines 200 --days 14 --shards 8 --jobs 2 --format binary
-
-PYTHONPATH=src python -m repro.cli serve "$tmp/fleet" --port 8642 \
-    --hot-shards 4 \
-    --metrics-out benchmarks/baselines/serve_smoke_manifest.json &
-serve_pid=$!
-
-for _ in $(seq 1 50); do
-    if PYTHONPATH=src python -m repro.cli query \
-        --url http://127.0.0.1:8642 health >/dev/null 2>&1; then
-        break
-    fi
-    sleep 0.2
-done
-
-PYTHONPATH=src python -m repro.cli query --url http://127.0.0.1:8642 \
-    availability --machine 17 --duration 6 >/dev/null
-PYTHONPATH=src python -m repro.cli query --url http://127.0.0.1:8642 \
-    capacity --duration 2 --threshold 0.3 >/dev/null
-PYTHONPATH=src python -m repro.cli query --url http://127.0.0.1:8642 \
-    rank --duration 4 --k 5 >/dev/null
-PYTHONPATH=src python - <<'EOF'
-from repro.serve import ServeClient
-
-with ServeClient("http://127.0.0.1:8642") as client:
-    for i in range(500):
-        client.availability(i % 200, 6.0)
-print("sustained smoke: 500 requests")
-EOF
-PYTHONPATH=src python -m repro.cli query --url http://127.0.0.1:8642 \
-    shutdown >/dev/null
-
-wait "$serve_pid"
+sh benchmarks/serve_smoke.sh 1 "$tmp/fleet" \
+    benchmarks/baselines/serve_smoke_manifest.json
 
 PYTHONPATH=src python -m repro.cli report \
     benchmarks/baselines/serve_smoke_manifest.json

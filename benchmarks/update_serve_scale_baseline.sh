@@ -1,15 +1,13 @@
 #!/usr/bin/env sh
 # Refresh the committed scale-out serving baseline manifest that CI's
-# `serve-scale` job diffs against with `repro-fgcs report --compare`.
+# `serve` job diffs against with `repro-fgcs report --compare`.
 #
 # Run from the repo root after an intentional change to the router,
 # block pager, or async ingest path, review the diff (direction-aware:
 # request latency up = regression, QPS down = regression), and commit
-# the result.  The sequence mirrors the serve-scale CI job — generate a
-# 200-machine binary shard fleet, start a 2-worker router with block
-# paging and snapshots on, run the query smoke plus a cross-worker
-# ingest, shut it down — so the metric set and magnitudes match what CI
-# measures.
+# the result.  It runs the CI smoke (benchmarks/serve_smoke.sh) with a
+# 2-worker router on the same 200-machine fleet, so the metric set and
+# magnitudes match what CI measures.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -18,49 +16,8 @@ trap 'rm -rf "$tmp"' EXIT
 
 PYTHONPATH=src python -m repro.cli generate "$tmp/fleet" \
     --machines 200 --days 14 --shards 8 --jobs 2 --format binary
-
-PYTHONPATH=src python -m repro.cli serve "$tmp/fleet" --port 8643 \
-    --workers 2 --block-machines 16 --ingest-queue 4096 \
-    --snapshot-dir "$tmp/snaps" --snapshot-every 1 \
-    --metrics-out benchmarks/baselines/serve_scale_manifest.json &
-serve_pid=$!
-
-for _ in $(seq 1 150); do
-    if PYTHONPATH=src python -m repro.cli query \
-        --url http://127.0.0.1:8643 health >/dev/null 2>&1; then
-        break
-    fi
-    sleep 0.2
-done
-
-PYTHONPATH=src python -m repro.cli query --url http://127.0.0.1:8643 \
-    availability --machine 17 --duration 6 >/dev/null
-PYTHONPATH=src python -m repro.cli query --url http://127.0.0.1:8643 \
-    availability --machine 170 --duration 6 >/dev/null
-PYTHONPATH=src python -m repro.cli query --url http://127.0.0.1:8643 \
-    capacity --duration 2 --threshold 0.3 >/dev/null
-PYTHONPATH=src python -m repro.cli query --url http://127.0.0.1:8643 \
-    rank --duration 4 --k 5 >/dev/null
-PYTHONPATH=src python - <<'EOF'
-from repro.serve import ServeClient
-
-DAY = 86400.0
-HORIZON = 14
-with ServeClient("http://127.0.0.1:8643") as client:
-    for i in range(400):
-        client.availability(i % 200, 6.0)
-    base = HORIZON * DAY
-    client.ingest([
-        [3, base + 600.0, base + 1800.0, 3],
-        [150, base + 900.0, base + 2100.0, 4],
-    ])
-    client.flush()
-print("sustained smoke: 400 queries + cross-worker ingest")
-EOF
-PYTHONPATH=src python -m repro.cli query --url http://127.0.0.1:8643 \
-    shutdown >/dev/null
-
-wait "$serve_pid"
+sh benchmarks/serve_smoke.sh 2 "$tmp/fleet" \
+    benchmarks/baselines/serve_scale_manifest.json
 
 PYTHONPATH=src python -m repro.cli report \
     benchmarks/baselines/serve_scale_manifest.json

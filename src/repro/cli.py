@@ -375,8 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--stdin",
         action="store_true",
-        help="also ingest JSONL events from stdin while serving "
-        "(one event object per line; EOF stops ingest, not the server)",
+        help="also ingest JSONL events from stdin while serving, one "
+        "event object per line, each applied in order as one POST "
+        "/v1/ingest batch (EOF stops ingest, not the server)",
     )
 
     p_qry = sub.add_parser(
@@ -932,16 +933,28 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     return _partial_results(dataset)
 
 
-def _cmd_serve_router(args: argparse.Namespace) -> int:
-    """The ``serve --workers N`` scale-out path."""
+def cmd_serve(args: argparse.Namespace) -> int:
     import time
 
     from .errors import ServeError, TraceError
     from .obs import get_registry
-    from .serve import start_router
+    from .serve import ServeSpec, boot, start_router
     from .traces import is_shard_store, open_shards
 
-    if not is_shard_store(args.trace):
+    knobs = dict(
+        block_machines=args.block_machines,
+        hot_shards=args.hot_shards,
+        hot_bytes=(
+            int(args.hot_mb * (1 << 20)) if args.hot_mb is not None else None
+        ),
+        history_days=args.history_days,
+        statistic=args.statistic,
+        laplace=args.laplace,
+        ingest_queue=args.ingest_queue,
+        snapshot_dir=args.snapshot_dir,
+        snapshot_every=args.snapshot_every,
+    )
+    if args.workers != 1 and not is_shard_store(args.trace):
         print(
             "error: --workers needs a shard-store trace (worker "
             "processes rebuild their machine ranges from the store); "
@@ -949,217 +962,83 @@ def _cmd_serve_router(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    hot_bytes = (
-        int(args.hot_mb * (1 << 20)) if args.hot_mb is not None else None
-    )
     registry = get_registry()
     try:
-        store = open_shards(args.trace)
-        handle = start_router(
-            store,
-            str(args.trace),
-            n_workers=args.workers,
-            host=args.host,
-            port=args.port,
-            registry=registry,
-            block_machines=args.block_machines,
-            hot_shards=args.hot_shards,
-            hot_bytes=hot_bytes,
-            history_days=args.history_days,
-            statistic=args.statistic,
-            laplace=args.laplace,
-            ingest_queue=args.ingest_queue,
-            snapshot_dir=args.snapshot_dir,
-            snapshot_every=args.snapshot_every,
-        )
+        if args.workers == 1:
+            spec = ServeSpec(args.trace, host=args.host, port=args.port, **knobs)
+            handle = boot(spec, registry)
+        else:
+            handle = start_router(
+                open_shards(args.trace),
+                args.trace,
+                n_workers=args.workers,
+                host=args.host,
+                port=args.port,
+                registry=registry,
+                **knobs,
+            )
     except (ServeError, TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    n_workers = len(handle.supervisor.workers)
+    health = handle.app.healthz()
+    workers = len(health.get("workers", ())) or 1
     print(
-        f"routing {store.n_machines} machine(s) across {n_workers} "
-        f"worker(s) ({store.n_shards} shard(s)) on {handle.url} — "
-        "POST /v1/shutdown or Ctrl-C to stop",
+        f"serving {health['n_machines']} machine(s) (horizon day "
+        f"{health['horizon_day']}, {workers} worker(s)) on {handle.url} "
+        "— POST /v1/shutdown or Ctrl-C to stop",
         file=sys.stderr,
     )
     t0 = time.perf_counter()
     try:
+        if args.stdin:
+            _ingest_stdin(handle.app, registry)
         handle.wait()
     except KeyboardInterrupt:
         print("interrupted, shutting down", file=sys.stderr)
     finally:
-        # Gather per-worker lanes before the fleet goes away.
         try:
-            _, fleet_stats, _ = handle.app.stats()
-        except Exception:
-            fleet_stats = {"workers": [], "totals": {}}
+            handle.app.flush()
+        except ServeError as exc:  # a worker is down: record the rest
+            print(f"final flush incomplete: {exc}", file=sys.stderr)
+        stats = handle.app.stats()
         handle.close()
         duration = time.perf_counter() - t0
-        requests = registry.counter_value("serve.requests")
-        lanes = []
-        for lane in fleet_stats.get("workers", []):
-            entry = {
-                "worker": lane.get("worker"),
-                "up": lane.get("up", False),
-                "machine_lo": lane.get("machine_lo"),
-                "machine_hi": lane.get("machine_hi"),
-                "requests": lane.get("requests", 0),
-                "qps": (
-                    round(lane.get("requests", 0) / duration, 3)
-                    if duration > 0
-                    else 0.0
-                ),
-            }
-            if lane.get("latency"):
-                entry["latency"] = lane["latency"]
-            if lane.get("tier"):
-                entry["tier"] = lane["tier"]
-            if lane.get("ingest"):
-                entry["ingest"] = lane["ingest"]
-            lanes.append(entry)
-        registry.record(
-            "serve",
-            role="router",
-            requests=requests,
-            qps=round(requests / duration, 3) if duration > 0 else 0.0,
-            duration_s=round(duration, 3),
-            machines=store.n_machines,
-            n_workers=n_workers,
-            workers=lanes,
-            totals=fleet_stats.get("totals", {}),
-        )
+
+        def qps(payload: dict) -> float:
+            requests = payload.get("requests", 0)
+            return round(requests / duration, 3) if duration > 0 else 0.0
+
+        # The manifest section is the final /v1/stats payload plus rates.
+        section = dict(stats, qps=qps(stats), duration_s=round(duration, 3))
+        if "workers" in stats:
+            section["workers"] = [
+                dict(lane, qps=qps(lane)) for lane in stats["workers"]
+            ]
+        registry.record("serve", **section)
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
+def _ingest_stdin(app, registry) -> None:
+    """Apply each stdin line as one ``POST /v1/ingest`` batch, in order.
+
+    A line is acknowledged before the next is read.  A 429 (queue full)
+    or 503 (the owning worker is restarting) is waited out, never
+    dropped; any other rejection is reported and counted in
+    ``serve.ingest_errors``.
+    """
     import time
 
-    from .errors import ServeError, TraceError
-    from .obs import get_registry
-    from .serve import AsyncIngester, ServeState, start_server
-    from .traces import is_shard_store, load_dataset, open_shards
-    from .traces.records import EventColumns
-
-    if args.workers != 1:
-        return _cmd_serve_router(args)
-
-    hot_bytes = (
-        int(args.hot_mb * (1 << 20)) if args.hot_mb is not None else None
-    )
-    knobs = dict(
-        hot_shards=args.hot_shards,
-        hot_bytes=hot_bytes,
-        history_days=args.history_days,
-        statistic=args.statistic,
-        laplace=args.laplace,
-    )
-    try:
-        if is_shard_store(args.trace):
-            store = open_shards(args.trace)
-            state = ServeState.from_store(
-                store, block_machines=args.block_machines, **knobs
-            )
-            source = f"{store.n_shards} shard(s)"
-        else:
-            dataset = load_dataset(args.trace)
-            state = ServeState.from_columns(
-                EventColumns.from_dataset(dataset), **knobs
-            )
-            source = f"{len(dataset)} event(s)"
-        snapshot_fn = None
-        if args.snapshot_dir is not None:
-            from pathlib import Path
-
-            snap = Path(args.snapshot_dir) / "serve.npz"
-            if snap.exists():
-                restored = state.restore_overlay_snapshot(snap)
-                print(
-                    f"restored {restored} streamed event(s) from {snap}",
-                    file=sys.stderr,
-                )
-            snapshot_fn = lambda: state.save_overlay_snapshot(snap)  # noqa: E731
-    except (ServeError, TraceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    registry = get_registry()
-    ingester = AsyncIngester(
-        state,
-        max_pending_events=args.ingest_queue,
-        snapshot_every=args.snapshot_every if snapshot_fn else None,
-        snapshot_fn=snapshot_fn,
-    )
-    handle = start_server(
-        state,
-        host=args.host,
-        port=args.port,
-        registry=registry,
-        ingester=ingester,
-    )
-    print(
-        f"serving {state.n_machines} machine(s) ({source}, horizon day "
-        f"{state.horizon_day}) on {handle.url} — POST /v1/shutdown or "
-        "Ctrl-C to stop",
-        file=sys.stderr,
-    )
-    t0 = time.perf_counter()
-    rc = 0
-    try:
-        if args.stdin:
-            # Tail stdin as a JSONL event stream; queries keep being
-            # answered on the server threads while this loop ingests.
-            for line in sys.stdin:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    state.ingest_jsonl([line])
-                except ServeError as exc:
-                    print(f"ingest error: {exc}", file=sys.stderr)
-                    registry.inc("serve.ingest_errors")
-            handle.wait()
-        else:
-            handle.wait()
-    except KeyboardInterrupt:
-        print("interrupted, shutting down", file=sys.stderr)
-    finally:
-        handle.close()  # drains + closes the ingester (final snapshot)
-        duration = time.perf_counter() - t0
-        requests = registry.counter_value("serve.requests")
-        tiers = state.tier_stats()
-        queue = ingester.stats()
-        registry.record(
-            "serve",
-            requests=requests,
-            qps=round(requests / duration, 3) if duration > 0 else 0.0,
-            duration_s=round(duration, 3),
-            machines=state.n_machines,
-            horizon_day=state.horizon_day,
-            tier={
-                "hot_entries": tiers.hot_entries,
-                "resident_bytes": tiers.resident_bytes,
-                "hits": tiers.hits,
-                "rebuilds": tiers.rebuilds,
-                "evictions": tiers.evictions,
-                "n_blocks": tiers.n_blocks,
-                "block_machines": tiers.block_machines,
-            },
-            ingest={
-                "streamed_events": tiers.streamed_events,
-                "deduplicated_events": tiers.deduplicated_events,
-                "overlay_cells": tiers.overlay_cells,
-                "queue": {
-                    "depth_events": queue.depth_events,
-                    "capacity_events": queue.capacity_events,
-                    "enqueued_batches": queue.enqueued_batches,
-                    "applied_batches": queue.applied_batches,
-                    "backpressure_rejections": queue.backpressure_rejections,
-                    "snapshots": queue.snapshots,
-                    "snapshot_failures": queue.snapshot_failures,
-                },
-            },
-        )
-    return rc
+    for line in sys.stdin:
+        if not line.strip():
+            continue
+        while True:
+            status, payload = app.handle("POST", "/v1/ingest", line.encode())
+            if status not in (429, 503):
+                break
+            time.sleep(payload.get("retry_after", 0.25))
+        if status != 200:
+            print(f"ingest error: {payload['error']}", file=sys.stderr)
+            registry.inc("serve.ingest_errors")
 
 
 def cmd_query(args: argparse.Namespace) -> int:

@@ -8,7 +8,8 @@ through a bounded asynchronous ingest queue (:mod:`repro.serve.ingest`)
 — and answering HTTP/JSON queries value-identical to the batch
 :class:`HistoryWindowPredictor` on the same data.  ``repro-fgcs serve
 --workers N`` scales the same protocol horizontally: a router front-end
-over per-machine-range worker processes (:mod:`repro.serve.router`).
+over per-machine-range worker processes (:mod:`repro.serve.router`),
+running the same request pipeline (:mod:`repro.serve.server`).
 ``repro-fgcs query`` is the matching CLI client.
 
 See ``docs/serving.md``.
@@ -17,8 +18,8 @@ See ``docs/serving.md``.
 from .client import ServeClient, ServeRequestError
 from .ingest import AsyncIngester, IngestQueueStats
 from .paging import BlockInfo, BlockPager, PagerStats
-from .router import RouterApp, RouterHandle, WorkerSpec, start_router
-from .server import ServeApp, ServeHandle, start_server
+from .router import RouterApp, start_router
+from .server import ServeApp, ServeHandle, ServeSpec, boot, start_server
 from .state import IngestResult, ServeState, TierStats, counts_from_columns
 
 __all__ = [
@@ -29,14 +30,14 @@ __all__ = [
     "IngestResult",
     "PagerStats",
     "RouterApp",
-    "RouterHandle",
     "ServeApp",
     "ServeClient",
     "ServeHandle",
     "ServeRequestError",
+    "ServeSpec",
     "ServeState",
     "TierStats",
-    "WorkerSpec",
+    "boot",
     "counts_from_columns",
     "start_router",
     "start_server",

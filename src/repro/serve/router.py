@@ -9,26 +9,30 @@ spreading the *state* across processes:
 
 * ``start_router(store, n_workers=N)`` partitions the store's shards
   into N contiguous runs and **spawns one worker process per run** —
-  each a full :func:`~repro.serve.server.start_server` daemon whose
+  each a full :func:`~repro.serve.server.boot` daemon whose
   :class:`~repro.serve.state.ServeState` owns exactly that machine
   range (the per-shard count blocks are already independent, so the
   partition is free).  Workers use the ``spawn`` start method: a fresh
   interpreter, picklable specs, and safe respawn while router threads
   run.
-* The **router** is a thin HTTP front: per-machine queries
-  (``availability``, single-machine ``ingest``) are forwarded verbatim
-  to the owning worker over persistent per-thread upstream connections;
-  fleet-wide ``capacity``/``rank`` scatter to every worker in parallel
-  and merge vectorized (integer partial sums and a global
-  ``(-survival, machine)`` sort — exactly the single-process answer,
-  see ``docs/serving.md``).  The router holds *no* predictor state, so
-  its per-request work is a dict lookup and byte shuffling.
+* The **router** is the shared request pipeline
+  (:class:`~repro.serve.server.Pipeline`) with one partition per
+  worker: point queries are forwarded to the owning worker over
+  persistent per-thread upstream connections; fleet-wide
+  ``capacity``/``rank`` scatter to every worker in parallel and merge
+  exactly (integer partial sums and a global ``(-survival, machine)``
+  sort, see ``docs/serving.md``).  The router holds *no* predictor
+  state.  It keeps the **fleet horizon**, the max of its workers'
+  horizons, learned from each worker's boot report and every ingest
+  acknowledgement, and pins it (with the resolved ``day``) on every
+  query it forwards, so every worker answers for the window a single
+  process would.
 * A **supervisor thread** watches worker processes.  A dead worker
   (crash, SIGKILL) marks its machine range down — requests for it get
   503 + ``Retry-After`` *for that range only*; everything else keeps
   serving — and is respawned from the store (plus its overlay snapshot,
-  when snapshots are on).  Worker ports are handed back over a pipe at
-  boot, so respawns rebind freely.
+  when snapshots are on).  Worker ports and horizons are handed back
+  over a pipe at boot, so respawns rebind freely.
 
 Cross-worker ingest batches keep the atomic-batch contract by a
 two-phase protocol under a router-wide ingest lock: every owner
@@ -45,134 +49,50 @@ lock and both phases.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import json
 import multiprocessing
 import socket
 import threading
 import time
-from dataclasses import dataclass
-from http.server import ThreadingHTTPServer
-from typing import Optional, Sequence
-from urllib.parse import parse_qs, urlsplit
-
-import numpy as np
+from typing import Optional
 
 from ..errors import ServeError, TraceError
 from ..obs.metrics import MetricsRegistry
 from ..traces.shards import ShardedTraceDataset
-from .state import ServeState, mean_survival
+from .server import Pipeline, ServeHandle, ServeSpec, Window, _ok, _Unavailable, boot
 
-__all__ = [
-    "RouterApp",
-    "RouterHandle",
-    "WorkerSpec",
-    "start_router",
-    "worker_main",
-]
+__all__ = ["RouterApp", "start_router", "worker_main"]
 
 #: How long a worker gets to bind its port and report back.
 _BOOT_TIMEOUT_S = 60.0
 #: Supervisor poll cadence.
 _POLL_S = 0.2
-#: Retry-After hint the router sends for a down machine range.
-_DOWN_RETRY_AFTER = 1.0
 
 
 # -- worker process ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WorkerSpec:
-    """Everything a spawned worker needs (must stay picklable)."""
-
-    worker_id: int
-    store_root: str
-    shard_lo: int
-    shard_hi: int
-    host: str = "127.0.0.1"
-    block_machines: Optional[int] = None
-    hot_shards: Optional[int] = None
-    hot_bytes: Optional[int] = None
-    history_days: int = 8
-    statistic: str = "mean"
-    laplace: float = 0.5
-    verify: bool = True
-    ingest_queue: int = 100_000
-    snapshot_dir: Optional[str] = None
-    snapshot_every: Optional[int] = None
-
-    @property
-    def snapshot_path(self) -> Optional[str]:
-        if self.snapshot_dir is None:
-            return None
-        return f"{self.snapshot_dir}/worker{self.worker_id}.npz"
-
-
-def worker_main(spec: WorkerSpec, conn) -> None:
+def worker_main(spec: ServeSpec, conn) -> None:
     """Entry point of one spawned shard worker (blocks until shutdown).
 
-    Reports over ``conn`` once: its port (an ``int``) when it serves, or
-    the message (a ``str``) of the :class:`ServeError`,
+    Reports over ``conn`` once: ``(port, horizon_day)`` when it serves,
+    or the message (a ``str``) of the :class:`ServeError`,
     :class:`TraceError` or :class:`OSError` that stopped its boot — then
     exits with status 2 instead of printing a traceback.
     """
     try:
-        handle, ingester = _boot_worker(spec)
+        handle = boot(spec)
     except (ServeError, TraceError, OSError) as exc:
         conn.send(str(exc))
         conn.close()
         raise SystemExit(2) from None
-    conn.send(handle.port)
+    conn.send((handle.port, handle.app.state.horizon_day))
     conn.close()
     try:
         handle.wait()  # until POST /v1/shutdown stops the serve loop
     finally:
-        handle.server.server_close()
-        ingester.close(timeout=30.0)
-
-
-def _boot_worker(spec: WorkerSpec):
-    """Open the store range, restore the snapshot and start serving."""
-    from pathlib import Path
-
-    from ..traces.shards import open_shards
-    from .ingest import AsyncIngester
-    from .server import start_server
-
-    store = open_shards(spec.store_root, verify=spec.verify)
-    state = ServeState.from_store(
-        store,
-        shard_range=(spec.shard_lo, spec.shard_hi),
-        hot_shards=spec.hot_shards,
-        hot_bytes=spec.hot_bytes,
-        block_machines=spec.block_machines,
-        history_days=spec.history_days,
-        statistic=spec.statistic,
-        laplace=spec.laplace,
-        verify=spec.verify,
-    )
-    snapshot_fn = None
-    if spec.snapshot_path is not None:
-        snap = Path(spec.snapshot_path)
-        if snap.exists():
-            state.restore_overlay_snapshot(snap)
-        snapshot_fn = lambda: state.save_overlay_snapshot(snap)  # noqa: E731
-    ingester = AsyncIngester(
-        state,
-        max_pending_events=spec.ingest_queue,
-        snapshot_every=spec.snapshot_every,
-        snapshot_fn=snapshot_fn,
-    )
-    registry = MetricsRegistry()
-    handle = start_server(
-        state,
-        host=spec.host,
-        port=0,
-        registry=registry,
-        ingester=ingester,
-        worker_id=spec.worker_id,
-    )
-    return handle, ingester
+        handle.close()
 
 
 # -- upstream connections ------------------------------------------------------
@@ -238,7 +158,7 @@ class _Upstream:
         return status, headers, payload
 
 
-class _WorkerDown(ServeError):
+class _WorkerDown(_Unavailable):
     """Internal: the owning worker's range is temporarily unavailable."""
 
     def __init__(self, worker: "WorkerHandle"):
@@ -254,9 +174,9 @@ class _WorkerDown(ServeError):
 
 
 class WorkerHandle:
-    """One worker's process, address, and up/down status."""
+    """One worker's process, address, horizon and up/down status."""
 
-    def __init__(self, spec: WorkerSpec, machine_lo: int, machine_hi: int):
+    def __init__(self, spec: ServeSpec, machine_lo: int, machine_hi: int):
         self.spec = spec
         self.machine_lo = machine_lo
         self.machine_hi = machine_hi
@@ -266,18 +186,21 @@ class WorkerHandle:
         self.generation = 0
         self.down = True
         self.respawns = -1  # first spawn brings it to 0
+        #: The newest horizon the worker reported (boot or ingest ack).
+        self.horizon = 0
         self.lock = threading.Lock()
+
+    def note_horizon(self, horizon: int) -> None:
+        with self.lock:
+            self.horizon = max(self.horizon, horizon)
 
 
 class WorkerSupervisor:
     """Spawns the worker fleet, watches it, respawns the fallen."""
 
-    def __init__(self, specs: Sequence[WorkerSpec], ranges: Sequence[tuple]):
+    def __init__(self, workers: list[WorkerHandle]):
         self._ctx = multiprocessing.get_context("spawn")
-        self.workers = [
-            WorkerHandle(spec, lo, hi)
-            for spec, (lo, hi) in zip(specs, ranges)
-        ]
+        self.workers = workers
         self._machine_los = [w.machine_lo for w in self.workers]
         self._closing = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -314,7 +237,7 @@ class WorkerSupervisor:
                     f"{_BOOT_TIMEOUT_S:.0f}s"
                 )
             try:
-                port = parent.recv()
+                report = parent.recv()
             except EOFError:
                 process.join(5.0)
                 raise ServeError(
@@ -323,9 +246,11 @@ class WorkerSupervisor:
                 ) from None
         finally:
             parent.close()
-        if isinstance(port, str):
+        if isinstance(report, str):
             process.join(5.0)
-            raise ServeError(f"{name} failed to boot: {port}")
+            raise ServeError(f"{name} failed to boot: {report}")
+        port, horizon = report
+        worker.note_horizon(horizon)
         with worker.lock:
             worker.process = process
             worker.port = port
@@ -390,13 +315,34 @@ class WorkerSupervisor:
 # -- the router app ------------------------------------------------------------
 
 
-class RouterApp:
-    """Routes front-door requests across the worker fleet.
+def _event_machine(event) -> int:
+    if isinstance(event, dict):
+        raw = event.get("machine_id")
+    else:
+        try:
+            raw = event[0]
+        except (TypeError, IndexError):
+            raw = None
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise ServeError(
+            "ingest event must carry an integer machine_id "
+            "(dict field or first sequence element)"
+        )
+
+
+class RouterApp(Pipeline):
+    """The pipeline over the worker fleet, one partition per worker.
 
     Speaks the same wire protocol as :class:`~repro.serve.server.ServeApp`
     (the :class:`~repro.serve.client.ServeClient` cannot tell them
     apart) but holds no predictor state of its own.
     """
+
+    # Each role's entry point is its own attribute, so a tracer can
+    # wrap one role's requests without the other's.
+    handle_full = Pipeline.handle_full
 
     def __init__(
         self,
@@ -404,12 +350,10 @@ class RouterApp:
         n_machines: int,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
+        super().__init__(registry)
         self.supervisor = supervisor
         self.n_machines = n_machines
-        self.registry = (
-            registry if registry is not None else MetricsRegistry(enabled=False)
-        )
-        self._started = time.time()
+        self.laplace = supervisor.workers[0].spec.laplace
         self._local = threading.local()
         self._ingest_lock = threading.Lock()
 
@@ -467,20 +411,17 @@ class RouterApp:
             out_headers["Retry-After"] = headers["retry-after"]
         return status, decoded, out_headers
 
-    def _scatter(
-        self, method: str, target: str, body: bytes = b""
-    ) -> list[tuple[int, dict, dict]]:
-        """Forward to every worker in parallel; raises :class:`_WorkerDown`
-        if any range is unavailable (fleet answers must be whole)."""
+    def _scatter(self, method: str, target: str) -> list[dict]:
+        """Every worker's payload, fetched in parallel; fleet answers must
+        be whole, so a down range or an error answer ends the request."""
         workers = self.supervisor.workers
         results: list = [None] * len(workers)
-        errors: list = [None] * len(workers)
 
         def fetch(i: int, worker: WorkerHandle) -> None:
             try:
-                results[i] = self.forward(worker, method, target, body)
+                results[i] = self.forward(worker, method, target)
             except ServeError as exc:
-                errors[i] = exc
+                results[i] = exc
 
         if len(workers) == 1:
             fetch(0, workers[0])
@@ -493,340 +434,66 @@ class RouterApp:
                 t.start()
             for t in threads:
                 t.join()
-        for exc in errors:
-            if exc is not None:
-                raise exc
-        return results
+        for result in results:
+            if isinstance(result, ServeError):
+                raise result
+        return [_ok(result) for result in results]
 
-    # -- plumbing -------------------------------------------------------------
+    # -- partitions -----------------------------------------------------------
 
-    def handle(
-        self, method: str, target: str, body: bytes = b""
-    ) -> tuple[int, dict]:
-        status, payload, _ = self.handle_full(method, target, body)
-        return status, payload
+    def fleet_horizon(self) -> int:
+        return max(w.horizon for w in self.supervisor.workers)
 
-    def handle_full(
-        self, method: str, target: str, body: bytes = b""
-    ) -> tuple[int, dict, dict]:
-        split = urlsplit(target)
-        path = split.path.rstrip("/") or "/"
-        params = parse_qs(split.query)
-        headers: dict[str, str] = {}
-        t0 = time.perf_counter()
-        try:
-            status, payload, headers = self._route(
-                method, path, params, target, body
-            )
-        except _WorkerDown as exc:
-            status = 503
-            payload = {"error": str(exc), "retry_after": _DOWN_RETRY_AFTER}
-            headers = {"Retry-After": f"{_DOWN_RETRY_AFTER:g}"}
-            self.registry.inc("serve.range_unavailable")
-        except ServeError as exc:
-            message = str(exc)
-            if "unknown machine" in message:
-                status, payload = 404, {"error": message}
-            else:
-                status, payload = 400, {"error": message}
-            headers = {}
-        except Exception as exc:  # pragma: no cover - defensive 500
-            status, payload, headers = (
-                500,
-                {"error": f"{type(exc).__name__}: {exc}"},
-                {},
-            )
-        dt = time.perf_counter() - t0
-        name = path.rsplit("/", 1)[-1] or "root"
-        self.registry.inc("serve.requests")
-        self.registry.inc(f"serve.status.{status // 100}xx")
-        self.registry.observe("serve.request_seconds", dt)
-        self.registry.observe(f"serve.request_seconds.{name}", dt)
-        return status, payload, headers
-
-    def _route(
-        self, method: str, path: str, params: dict, target: str, body: bytes
-    ) -> tuple[int, dict, dict]:
-        if path == "/healthz" and method == "GET":
-            return self.healthz()
-        if path == "/v1/availability" and method == "GET":
-            return self.availability(params, target)
-        if path == "/v1/capacity" and method == "GET":
-            return self.capacity(target)
-        if path == "/v1/rank" and method == "GET":
-            return self.rank(params, target)
-        if path == "/v1/stats" and method == "GET":
-            return self.stats()
-        if path == "/v1/ingest" and method == "POST":
-            return self.ingest(body)
-        if path == "/v1/flush" and method == "POST":
-            return self.flush()
-        if path == "/v1/shutdown" and method == "POST":
-            return 200, {"stopping": True}, {}
-        known = {
-            "/healthz",
-            "/v1/availability",
-            "/v1/capacity",
-            "/v1/rank",
-            "/v1/stats",
-            "/v1/ingest",
-            "/v1/flush",
-            "/v1/shutdown",
-        }
-        if path in known:
-            return 405, {"error": f"{method} not allowed on {path}"}, {}
-        return 404, {"error": f"no such endpoint {path!r}"}, {}
-
-    # -- endpoints ------------------------------------------------------------
-
-    def healthz(self) -> tuple[int, dict, dict]:
-        workers = []
-        all_up = True
-        for w in self.supervisor.workers:
-            with w.lock:
-                down, respawns = w.down, w.respawns
-            all_up = all_up and not down
-            workers.append(
-                {
-                    "worker": w.spec.worker_id,
-                    "up": not down,
-                    "machine_lo": w.machine_lo,
-                    "machine_hi": w.machine_hi,
-                    "respawns": respawns,
-                }
-            )
-        return 200, {
-            "ok": True,
-            "ready": all_up,
-            "role": "router",
-            "n_machines": self.n_machines,
-            "workers": workers,
-            "uptime_seconds": time.time() - self._started,
-        }, {}
-
-    def availability(self, params: dict, target: str) -> tuple[int, dict, dict]:
-        raw = params.get("machine", [None])[-1]
-        if raw is None:
-            return 400, {"error": "missing required parameter 'machine'"}, {}
-        try:
-            machine = int(raw)
-        except ValueError:
-            return 400, {
-                "error": f"parameter 'machine' must be an integer, got {raw!r}"
-            }, {}
+    def point(self, machine: int, w: Window, target: str) -> dict:
         worker = self.supervisor.worker_for_machine(machine)
-        return self.forward(worker, "GET", target)
+        return _ok(self.forward(worker, "GET", w.pin(target)))
 
-    def capacity(self, target: str) -> tuple[int, dict, dict]:
-        results = self._scatter("GET", target)
-        for status, payload, headers in results:
-            if status != 200:
-                return status, payload, headers
-        parts = [payload for _, payload, _ in results]
-        available = sum(p["available"] for p in parts)
-        # Workers whose horizons differ can average over different
-        # numbers of history days; then there is no one fleet value.
-        days = {p["history_days"] for p in parts}
-        merged = {
-            "available": available,
-            "n_machines": self.n_machines,
-            "owned": self.n_machines,
-            "machine_lo": 0,
-            "machine_hi": self.n_machines,
-            "fraction": available / self.n_machines,
-            "threshold": parts[0]["threshold"],
-            "clean_windows": sum(p["clean_windows"] for p in parts),
-            "history_days": days.pop() if len(days) == 1 else None,
-            "mean_survival": mean_survival(
-                [
-                    (p["clean_windows"], p["owned"], p["history_days"])
-                    for p in parts
-                ],
-                self.supervisor.workers[0].spec.laplace,
-            ),
-            "day": parts[0]["day"],
-            "hour": parts[0]["hour"],
-            "duration_hours": parts[0]["duration_hours"],
-            "workers": len(parts),
-        }
-        return 200, merged, {}
+    def fleet(self, endpoint: str, w: Window, option, target: str) -> list[dict]:
+        return self._scatter("GET", w.pin(target))
 
-    def rank(self, params: dict, target: str) -> tuple[int, dict, dict]:
-        k_raw = params.get("k", [None])[-1]
-        try:
-            k = 10 if k_raw is None else int(k_raw)
-        except ValueError:
-            return 400, {
-                "error": f"parameter 'k' must be an integer, got {k_raw!r}"
-            }, {}
-        results = self._scatter("GET", target)
-        for status, payload, headers in results:
-            if status != 200:
-                return status, payload, headers
-        parts = [payload for _, payload, _ in results]
-        machines = np.array(
-            [m["machine"] for p in parts for m in p["machines"]], dtype=np.int64
-        )
-        survivals = np.array(
-            [m["survival"] for p in parts for m in p["machines"]], dtype=float
-        )
-        # The global top-k is inside the union of per-worker top-ks;
-        # lexsort's last key is primary: descending survival, then
-        # ascending machine id — the single-process tie-break.
-        order = np.lexsort((machines, -survivals))[:k]
-        return 200, {
-            "day": parts[0]["day"],
-            "hour": parts[0]["hour"],
-            "duration_hours": parts[0]["duration_hours"],
-            "machines": [
-                {"machine": int(machines[i]), "survival": float(survivals[i])}
-                for i in order
-            ],
-        }, {}
+    def flush(self) -> list[dict]:
+        return self._scatter("POST", "/v1/flush")
 
-    def stats(self) -> tuple[int, dict, dict]:
-        lanes = []
-        totals = {
-            "requests": 0,
-            "streamed_events": 0,
-            "deduplicated_events": 0,
-            "queue_depth_events": 0,
-            "backpressure_rejections": 0,
-            "rebuilds": 0,
-            "evictions": 0,
-            "hits": 0,
-            "resident_bytes": 0,
-        }
-        for worker in self.supervisor.workers:
-            try:
-                status, payload, _ = self.forward(worker, "GET", "/v1/stats")
-            except _WorkerDown:
-                lanes.append({"worker": worker.spec.worker_id, "up": False})
-                continue
-            if status != 200:
-                lanes.append({"worker": worker.spec.worker_id, "up": False})
-                continue
-            lanes.append({**payload, "up": True})
-            totals["requests"] += payload.get("requests", 0)
-            tier = payload.get("tier", {})
-            for key in ("rebuilds", "evictions", "hits", "resident_bytes"):
-                totals[key] += tier.get(key, 0)
-            ingest = payload.get("ingest", {})
-            totals["streamed_events"] += ingest.get("streamed_events", 0)
-            totals["deduplicated_events"] += ingest.get(
-                "deduplicated_events", 0
-            )
-            queue = ingest.get("queue", {})
-            totals["queue_depth_events"] += queue.get("depth_events", 0)
-            totals["backpressure_rejections"] += queue.get(
-                "backpressure_rejections", 0
-            )
-        payload = {
-            "role": "router",
-            "n_machines": self.n_machines,
-            "workers": lanes,
-            "totals": totals,
-            "requests": self.registry.counter_value("serve.requests"),
-        }
-        hist = self.registry.histogram("serve.request_seconds")
-        if hist is not None and len(hist):
-            payload["latency"] = hist.summary()
-        return 200, payload, {}
+    def ingest(self, events: list, dry: bool) -> dict:
+        """Split a batch by owning worker and keep it atomic.
 
-    # -- ingest ---------------------------------------------------------------
-
-    def _decode_events(self, body: bytes) -> list:
-        if not body:
-            raise ServeError("ingest body is empty")
-        text = body.decode("utf-8", errors="replace").strip()
-        if text.startswith("["):
-            try:
-                events = json.loads(text)
-            except ValueError as exc:
-                raise ServeError(f"invalid JSON body: {exc}")
-            if not isinstance(events, list):
-                raise ServeError("ingest JSON body must be an array")
-            return events
-        events = []
-        for i, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except ValueError as exc:
-                raise ServeError(f"ingest line {i}: invalid JSON: {exc}")
-        return events
-
-    def _event_machine(self, event) -> int:
-        if isinstance(event, dict):
-            raw = event.get("machine_id")
-        else:
-            try:
-                raw = event[0]
-            except (TypeError, IndexError):
-                raw = None
-        try:
-            return int(raw)
-        except (TypeError, ValueError):
-            raise ServeError(
-                "ingest event must carry an integer machine_id "
-                "(dict field or first sequence element)"
-            )
-
-    def ingest(self, body: bytes) -> tuple[int, dict, dict]:
-        events = self._decode_events(body)
-        slices: dict[int, list] = {}
+        A single-owner batch is forwarded as it is: the worker's own
+        validate+enqueue is already atomic.  A cross-worker batch runs
+        two phases under the router ingest lock, so concurrent batches
+        cannot interleave between them: every slice is dry-run first,
+        and any rejection rejects the whole batch with nothing applied
+        anywhere.  A dry run is that first phase alone.
+        """
+        slices: dict[WorkerHandle, list] = {}
         for event in events:
-            owner = self.supervisor.worker_for_machine(
-                self._event_machine(event)
-            )
-            slices.setdefault(owner.spec.worker_id, []).append(event)
-        workers = {
-            w.spec.worker_id: w for w in self.supervisor.workers
+            owner = self.supervisor.worker_for_machine(_event_machine(event))
+            slices.setdefault(owner, []).append(event)
+        bodies = [(w, json.dumps(evs).encode("utf-8")) for w, evs in slices.items()]
+        if dry:
+            acks = [
+                _ok(self.forward(w, "POST", "/v1/ingest?dry=1", body))
+                for w, body in bodies
+            ]
+        elif len(bodies) == 1:
+            [(worker, body)] = bodies
+            acks = [_ok(self.forward(worker, "POST", "/v1/ingest", body))]
+        else:
+            with self._ingest_lock:
+                for w, body in bodies:
+                    _ok(self.forward(w, "POST", "/v1/ingest?dry=1", body))
+                acks = [_ok(self._commit_slice(w, body)) for w, body in bodies]
+        if not dry:
+            for (worker, _), ack in zip(bodies, acks):
+                worker.note_horizon(ack["horizon_day"])
+        return {
+            "accepted": sum(ack["accepted"] for ack in acks),
+            "deduplicated": sum(ack["deduplicated"] for ack in acks),
+            "dry": dry,
+            "horizon_day": max(
+                [self.fleet_horizon()] + [ack["horizon_day"] for ack in acks]
+            ),
+            "workers": len(bodies),
         }
-        if len(slices) == 1:
-            # Single owner: the worker's own validate+enqueue is already
-            # atomic; forward verbatim (status, 409s, and 429 backpressure
-            # pass straight through).
-            [(worker_id, payload_events)] = slices.items()
-            body_out = json.dumps(payload_events).encode("utf-8")
-            return self.forward(
-                workers[worker_id], "POST", "/v1/ingest", body_out
-            )
-        # Cross-worker batch: two phases under the router ingest lock so
-        # concurrent batches cannot interleave between validate and
-        # commit.  Phase 1 dry-runs every slice; any rejection rejects
-        # the whole batch with nothing applied anywhere.
-        with self._ingest_lock:
-            encoded = {
-                wid: json.dumps(evs).encode("utf-8")
-                for wid, evs in slices.items()
-            }
-            for wid, slice_body in encoded.items():
-                status, payload, headers = self.forward(
-                    workers[wid], "POST", "/v1/ingest?dry=1", slice_body
-                )
-                if status != 200:
-                    return status, payload, headers
-            accepted = deduplicated = 0
-            horizon = 0
-            for wid, slice_body in encoded.items():
-                status, payload, headers = self._commit_slice(
-                    workers[wid], slice_body
-                )
-                if status != 200:  # pragma: no cover - crash mid-commit
-                    return status, payload, headers
-                accepted += payload["accepted"]
-                deduplicated += payload["deduplicated"]
-                horizon = max(horizon, payload.get("horizon_day", 0))
-        return 200, {
-            "accepted": accepted,
-            "deduplicated": deduplicated,
-            "dry": False,
-            "horizon_day": horizon,
-            "workers": len(slices),
-        }, {}
 
     def _commit_slice(
         self, worker: WorkerHandle, slice_body: bytes, deadline_s: float = 30.0
@@ -843,60 +510,78 @@ class RouterApp:
                 min(float(payload.get("retry_after", 0.25)), 1.0)
             )
 
-    def flush(self) -> tuple[int, dict, dict]:
-        results = self._scatter("POST", "/v1/flush")
-        applied = 0
-        for status, payload, headers in results:
-            if status != 200:
-                return status, payload, headers
-            applied += payload.get("applied_batches", 0)
-        return 200, {"flushed": True, "applied_batches": applied}, {}
+    # -- topology -------------------------------------------------------------
+
+    def healthz(self) -> dict:
+        workers = []
+        all_up = True
+        for w in self.supervisor.workers:
+            with w.lock:
+                down, respawns = w.down, w.respawns
+            all_up = all_up and not down
+            workers.append(
+                {
+                    "worker": w.spec.worker_id,
+                    "up": not down,
+                    "machine_lo": w.machine_lo,
+                    "machine_hi": w.machine_hi,
+                    "respawns": respawns,
+                }
+            )
+        return {
+            "ok": True,
+            "ready": all_up,
+            "role": "router",
+            "n_machines": self.n_machines,
+            "horizon_day": self.fleet_horizon(),
+            "workers": workers,
+            "uptime_seconds": time.time() - self._started,
+        }
+
+    def stats(self) -> dict:
+        lanes = []
+        for worker in self.supervisor.workers:
+            try:
+                status, payload, _ = self.forward(worker, "GET", "/v1/stats")
+            except _WorkerDown:
+                status = None
+            if status == 200:
+                lanes.append({**payload, "up": True})
+            else:
+                lanes.append({"worker": worker.spec.worker_id, "up": False})
+        live = [lane for lane in lanes if lane["up"]]
+        ingest = [lane["ingest"] for lane in live]
+        totals = {
+            "requests": sum(lane["requests"] for lane in live),
+            "streamed_events": sum(i["streamed_events"] for i in ingest),
+            "deduplicated_events": sum(i["deduplicated_events"] for i in ingest),
+            "queue_depth_events": sum(i["queue"]["depth_events"] for i in ingest),
+            "backpressure_rejections": sum(
+                i["queue"]["backpressure_rejections"] for i in ingest
+            ),
+        }
+        for key in ("rebuilds", "evictions", "hits", "resident_bytes"):
+            totals[key] = sum(lane["tier"][key] for lane in live)
+        payload = {
+            "role": "router",
+            "n_machines": self.n_machines,
+            "horizon_day": self.fleet_horizon(),
+            "n_workers": len(lanes),
+            "workers": lanes,
+            "totals": totals,
+            "requests": self.registry.counter_value("serve.requests"),
+        }
+        hist = self.registry.histogram("serve.request_seconds")
+        if hist is not None and len(hist):
+            payload["latency"] = hist.summary()
+        return payload
+
+    def close(self) -> None:
+        """Stop the worker fleet."""
+        self.supervisor.close()
 
 
 # -- lifecycle -----------------------------------------------------------------
-
-
-class RouterHandle:
-    """A running router front plus its worker fleet."""
-
-    def __init__(
-        self,
-        server: ThreadingHTTPServer,
-        app: RouterApp,
-        thread: threading.Thread,
-        supervisor: WorkerSupervisor,
-    ):
-        self.server = server
-        self.app = app
-        self.thread = thread
-        self.supervisor = supervisor
-
-    @property
-    def host(self) -> str:
-        return self.server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def wait(self, timeout: Optional[float] = None) -> None:
-        self.thread.join(timeout)
-
-    def close(self) -> None:
-        self.server.shutdown()
-        self.thread.join()
-        self.server.server_close()
-        self.supervisor.close()
-
-    def __enter__(self) -> "RouterHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def partition_shards(n_shards: int, n_workers: int) -> list[tuple[int, int]]:
@@ -922,61 +607,24 @@ def start_router(
     host: str = "127.0.0.1",
     port: int = 0,
     registry: Optional[MetricsRegistry] = None,
-    block_machines: Optional[int] = None,
-    hot_shards: Optional[int] = None,
-    hot_bytes: Optional[int] = None,
-    history_days: int = 8,
-    statistic: str = "mean",
-    laplace: float = 0.5,
-    verify: bool = True,
-    ingest_queue: int = 100_000,
-    snapshot_dir: Optional[str] = None,
-    snapshot_every: Optional[int] = None,
-) -> RouterHandle:
+    **knobs,
+) -> ServeHandle:
     """Spawn the worker fleet and start the router front on a thread.
 
     ``n_workers`` is clamped to the shard count (a worker needs at least
     one shard).  Workers always bind loopback; only the router binds
-    ``host``.
+    ``host``.  ``knobs`` are the workers' :class:`ServeSpec` fields.
     """
-    from .server import _Handler
-
-    runs = partition_shards(store.n_shards, n_workers)
-    specs = []
-    ranges = []
-    for worker_id, (lo, hi) in enumerate(runs):
-        specs.append(
-            WorkerSpec(
-                worker_id=worker_id,
-                store_root=str(store_root),
-                shard_lo=lo,
-                shard_hi=hi,
-                block_machines=block_machines,
-                hot_shards=hot_shards,
-                hot_bytes=hot_bytes,
-                history_days=history_days,
-                statistic=statistic,
-                laplace=laplace,
-                verify=verify,
-                ingest_queue=ingest_queue,
-                snapshot_dir=snapshot_dir,
-                snapshot_every=snapshot_every,
-            )
+    spec = ServeSpec(trace=str(store_root), **knobs)
+    shards = store.manifest.shards
+    workers = [
+        WorkerHandle(
+            dataclasses.replace(spec, worker_id=i, shard_range=(lo, hi)),
+            shards[lo].machine_lo,
+            shards[hi - 1].machine_hi,
         )
-        ranges.append(
-            (
-                store.manifest.shards[lo].machine_lo,
-                store.manifest.shards[hi - 1].machine_hi,
-            )
-        )
-    supervisor = WorkerSupervisor(specs, ranges)
+        for i, (lo, hi) in enumerate(partition_shards(store.n_shards, n_workers))
+    ]
+    supervisor = WorkerSupervisor(workers)
     supervisor.start()
-    app = RouterApp(supervisor, store.n_machines, registry)
-    handler = type("RouterHandler", (_Handler,), {"app": app})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    thread = threading.Thread(
-        target=server.serve_forever, name="fgcs-router", daemon=True
-    )
-    thread.start()
-    return RouterHandle(server, app, thread, supervisor)
+    return ServeHandle(RouterApp(supervisor, store.n_machines, registry), host, port)

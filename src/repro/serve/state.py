@@ -78,7 +78,10 @@ pre-validated counts later without re-deciding anything.
 
 The batch path freezes its day horizon at the trace span; the live path
 extends it as events arrive (``horizon_day``), so "now" queries keep
-working past the end of the bootstrap trace.
+working past the end of the bootstrap trace.  Every query takes an
+optional ``horizon`` that overrides it: a router pins the fleet horizon
+(the max over its workers), so each worker anchors history where one
+process holding the whole fleet would.
 """
 
 from __future__ import annotations
@@ -122,27 +125,17 @@ SNAPSHOT_VERSION = 1
 
 
 def mean_survival(
-    parts: Iterable[tuple[int, int, int]], laplace: float
+    clean_windows: int, machines: int, history_days: int, laplace: float
 ) -> float:
     """Fleet mean of the per-machine survival ``(clean + L) / (n + 2L)``.
 
-    ``parts`` holds integer ``(clean_windows, machines, history_days)``
-    totals, one per machine range.  Ranges whose windows span the same
-    ``n`` history days — all of them, unless ingest moved some workers'
-    horizons past others' — pool their integers, and a pool's share is
-    one division, ``(clean + N_pool*L) / (N*(n + 2L))``.  A router
-    merging its workers' totals therefore gets the same float as a
-    single process over the same fleet.
+    One division over integer totals, ``(clean + N*L) / (N*(n + 2L))``.
+    Every partition anchors its history at the fleet horizon, so all of
+    them average over the same ``n`` days, and a router summing its
+    workers' ``clean_windows`` gets the same float as a single process.
     """
-    pools: dict[int, list[int]] = {}
-    for clean, machines, days in parts:
-        pool = pools.setdefault(days, [0, 0])
-        pool[0] += clean
-        pool[1] += machines
-    total = sum(machines for _, machines in pools.values())
-    return sum(
-        (clean + machines * laplace) / (total * (days + 2 * laplace))
-        for days, (clean, machines) in pools.items()
+    return (clean_windows + machines * laplace) / (
+        machines * (history_days + 2 * laplace)
     )
 
 
@@ -464,6 +457,7 @@ class ServeState:
         machine_id: int,
         cells: list[tuple[int, int, float]],
         shifts: Iterable[int],
+        horizon: int,
     ) -> list[float]:
         """Per day shift, the window's ``total += overlap * count`` over
         its cells in cell order, each count base + overlay.
@@ -472,7 +466,6 @@ class ServeState:
         so the pager sees one touch per call (and none when every cell
         lies past the base tier).  Callers hold ``self._lock``.
         """
-        horizon = self.horizon_day
         base_days = self.base_n_days
         overlay = self._overlay
         row = None
@@ -550,20 +543,21 @@ class ServeState:
             )
         return _ParsedEvent(machine_id, start, end, state)
 
-    def _validate_parsed(
+    def validate_events(
         self,
-        parsed: Sequence[_ParsedEvent],
+        events: Iterable[Union[dict, Sequence]],
         tail_of: Callable[[int], Optional[_ParsedEvent]],
     ) -> ValidatedBatch:
-        """Decide a parsed batch's fate against the given tail view.
+        """Parse and contract-check a batch without applying it.
 
         ``tail_of`` maps a machine to its newest accepted event *before*
         this batch — the applied tails for synchronous ingest, or the
-        queue's shadow tails for asynchronous ingest.  Raises
-        :class:`IngestOrderError` (whole batch, atomically) on an
-        ordering violation; duplicates of the newest event are dropped
-        and counted.
+        queue's shadow tails for asynchronous ingest.  Every event is
+        parsed before any is judged.  Raises :class:`IngestOrderError`
+        (whole batch, atomically) on an ordering violation; duplicates
+        of the newest event are dropped and counted.
         """
+        parsed = [self._parse_event(e) for e in events]
         tails: dict[int, _ParsedEvent] = {}
         accepted: list[_ParsedEvent] = []
         deduped = 0
@@ -595,23 +589,6 @@ class ServeState:
             tails=tails,
             horizon_day=horizon,
         )
-
-    def validate_events(
-        self,
-        events: Iterable[Union[dict, Sequence]],
-        tail_of: Optional[Callable[[int], Optional[_ParsedEvent]]] = None,
-    ) -> ValidatedBatch:
-        """Parse and contract-check a batch without applying it.
-
-        With no ``tail_of`` the batch is judged against the currently
-        applied tails (under the state lock) — the synchronous decision.
-        The async ingest queue passes its shadow-tail view instead.
-        """
-        parsed = [self._parse_event(e) for e in events]
-        if tail_of is not None:
-            return self._validate_parsed(parsed, tail_of)
-        with self._lock:
-            return self._validate_parsed(parsed, self._last_event.get)
 
     def tail_of(self, machine_id: int) -> Optional[_ParsedEvent]:
         """The machine's newest *applied* event (thread-safe)."""
@@ -656,33 +633,10 @@ class ServeState:
         a rejected batch leaves the state untouched and queries running
         concurrently never observe a partially applied batch.
         """
-        parsed = [self._parse_event(e) for e in events]
         with self._lock:
-            batch = self._validate_parsed(parsed, self._last_event.get)
+            batch = self.validate_events(events, self._last_event.get)
             self._apply_locked(batch)
         return batch.result()
-
-    def ingest_jsonl(self, lines: Iterable[str]) -> IngestResult:
-        """Ingest a JSONL stream (one event object per non-blank line)."""
-        return self.ingest(self.parse_jsonl(lines))
-
-    @staticmethod
-    def parse_jsonl(lines: Iterable[str]) -> list[dict]:
-        """Decode a JSONL event stream into raw event dicts."""
-        import json
-
-        events = []
-        for i, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except ValueError as exc:
-                raise ServeError(
-                    f"ingest line {i}: invalid JSON: {exc}"
-                ) from exc
-        return events
 
     # -- overlay snapshot/restore ---------------------------------------------
 
@@ -828,10 +782,10 @@ class ServeState:
 
     # -- queries --------------------------------------------------------------
 
-    def _history_day_list(self, day: int) -> list[int]:
+    def _history_day_list(self, day: int, horizon: int) -> list[int]:
         """Same-type days before ``day``, newest first, batch-identical:
         ``CountMatrix.same_type_days_before(min(day, horizon), limit)``."""
-        anchor = min(day, self.horizon_day)
+        anchor = min(day, horizon)
         target = self.is_weekend_day(anchor)
         days = []
         d = anchor - 1
@@ -858,7 +812,9 @@ class ServeState:
         )
         cells = query.hour_cells()
         with self._lock:
-            return self._window_totals(machine_id, cells, (0,))[0]
+            return self._window_totals(
+                machine_id, cells, (0,), self.horizon_day
+            )[0]
 
     def _check_owned(self, machine_id: int) -> None:
         if not self.machine_lo <= machine_id < self.machine_hi:
@@ -883,17 +839,22 @@ class ServeState:
                 "before querying"
             )
 
-    def history_counts(self, query: PredictionQuery) -> np.ndarray:
+    def history_counts(
+        self, query: PredictionQuery, horizon: Optional[int] = None
+    ) -> np.ndarray:
         """The per-history-day window counts the predictor reduces over.
 
         Value-identical to
         ``HistoryWindowPredictor._history_counts`` on the same data:
         same day list, same cell bounds, same ``total += overlap *
-        count`` accumulation order.
+        count`` accumulation order.  ``horizon`` overrides
+        :attr:`horizon_day` (module docstring).
         """
         self._check_machine(query.machine_id)
         self._check_ready()
-        days = self._history_day_list(query.day)
+        if horizon is None:
+            horizon = self.horizon_day
+        days = self._history_day_list(query.day, horizon)
         if not days:
             raise NoHistoryError(
                 f"no same-type history before day {query.day}; "
@@ -902,7 +863,7 @@ class ServeState:
         cells = query.hour_cells()
         with self._lock:
             counts = self._window_totals(
-                query.machine_id, cells, [d - query.day for d in days]
+                query.machine_id, cells, [d - query.day for d in days], horizon
             )
         return np.asarray(counts, dtype=float)
 
@@ -916,14 +877,18 @@ class ServeState:
             return float(trimmed.mean())
         return float(counts.mean())
 
-    def predict_count(self, query: PredictionQuery) -> float:
+    def predict_count(
+        self, query: PredictionQuery, horizon: Optional[int] = None
+    ) -> float:
         """Expected unavailability occurrences in the window."""
-        return self._reduce(self.history_counts(query))
+        return self._reduce(self.history_counts(query, horizon))
 
-    def predict_survival(self, query: PredictionQuery) -> float:
+    def predict_survival(
+        self, query: PredictionQuery, horizon: Optional[int] = None
+    ) -> float:
         """P(no unavailability starts in the window) — the serving
         layer's headline answer, batch-identical."""
-        counts = self.history_counts(query)
+        counts = self.history_counts(query, horizon)
         clean = float(np.count_nonzero(counts < 0.5))
         n = counts.size
         return (clean + self.laplace) / (n + 2 * self.laplace)
@@ -931,7 +896,11 @@ class ServeState:
     # -- fleet-vectorized queries ---------------------------------------------
 
     def _history_matrix(
-        self, day: int, start_hour: float, duration_hours: float
+        self,
+        day: int,
+        start_hour: float,
+        duration_hours: float,
+        horizon: Optional[int] = None,
     ) -> np.ndarray:
         """``(owned_machines, n_history_days)`` window counts.
 
@@ -943,7 +912,9 @@ class ServeState:
         any block size, through any eviction or routing split.
         """
         self._check_ready()
-        days = self._history_day_list(day)
+        if horizon is None:
+            horizon = self.horizon_day
+        days = self._history_day_list(day, horizon)
         if not days:
             raise NoHistoryError(
                 f"no same-type history before day {day}; "
@@ -956,7 +927,6 @@ class ServeState:
             duration_hours=duration_hours,
         )
         cells = query.hour_cells()
-        horizon = self.horizon_day
         out = np.zeros((self.owned_machines, len(days)), dtype=float)
         with self._lock:
             for lo, hi, counts in self._base_segments():
@@ -980,21 +950,29 @@ class ServeState:
         return out
 
     def clean_windows(
-        self, day: int, start_hour: float, duration_hours: float
+        self,
+        day: int,
+        start_hour: float,
+        duration_hours: float,
+        horizon: Optional[int] = None,
     ) -> tuple[np.ndarray, int]:
         """``(clean, n)``: per owned machine, how many of the ``n``
         same-type history windows saw no unavailability start."""
-        matrix = self._history_matrix(day, start_hour, duration_hours)
+        matrix = self._history_matrix(day, start_hour, duration_hours, horizon)
         return np.count_nonzero(matrix < 0.5, axis=1), matrix.shape[1]
 
     def survival_fleet(
-        self, day: int, start_hour: float, duration_hours: float
+        self,
+        day: int,
+        start_hour: float,
+        duration_hours: float,
+        horizon: Optional[int] = None,
     ) -> np.ndarray:
         """Per-owned-machine survival probabilities for one window shape.
 
         Index ``m - machine_lo`` holds machine ``m``'s answer.
         """
-        clean, n = self.clean_windows(day, start_hour, duration_hours)
+        clean, n = self.clean_windows(day, start_hour, duration_hours, horizon)
         return (clean + self.laplace) / (n + 2 * self.laplace)
 
     def capacity(
@@ -1004,19 +982,19 @@ class ServeState:
         duration_hours: float,
         *,
         threshold: float = 0.5,
+        horizon: Optional[int] = None,
     ) -> dict:
         """How many owned machines forecast free for the whole window.
 
         A machine counts when its survival probability is >= ``threshold``.
         For a worker slice the answer covers only the owned range
         (``owned``/``machine_lo``/``machine_hi``); the router merges
-        partials from integers only — it sums ``available`` and pools
-        ``clean_windows`` by ``history_days`` (how many same-type days
-        the window averages over) into :func:`mean_survival`.
+        partials from integers only — it sums ``available`` and
+        ``clean_windows`` and divides once in :func:`mean_survival`.
         """
         if not 0.0 <= threshold <= 1.0:
             raise ServeError("threshold must be in [0, 1]")
-        clean, n = self.clean_windows(day, start_hour, duration_hours)
+        clean, n = self.clean_windows(day, start_hour, duration_hours, horizon)
         survival = (clean + self.laplace) / (n + 2 * self.laplace)
         available = int(np.count_nonzero(survival >= threshold))
         clean_total = int(clean.sum())
@@ -1031,12 +1009,18 @@ class ServeState:
             "clean_windows": clean_total,
             "history_days": n,
             "mean_survival": mean_survival(
-                [(clean_total, self.owned_machines, n)], self.laplace
+                clean_total, self.owned_machines, n, self.laplace
             ),
         }
 
     def rank(
-        self, day: int, start_hour: float, duration_hours: float, *, k: int = 10
+        self,
+        day: int,
+        start_hour: float,
+        duration_hours: float,
+        *,
+        k: int = 10,
+        horizon: Optional[int] = None,
     ) -> list[tuple[int, float]]:
         """Top-``k`` owned machines by survival, ties broken by machine id.
 
@@ -1045,7 +1029,7 @@ class ServeState:
         """
         if k < 1:
             raise ServeError("k must be >= 1")
-        survival = self.survival_fleet(day, start_hour, duration_hours)
+        survival = self.survival_fleet(day, start_hour, duration_hours, horizon)
         # Stable sort on -survival: equal survivals keep ascending id order.
         order = np.argsort(-survival, kind="stable")[:k]
         return [

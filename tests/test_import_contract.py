@@ -87,6 +87,30 @@ def test_serve_entry_points_import_no_generator_or_scipy():
     assert prediction == ["repro.prediction.base"]
 
 
+def test_cli_import_loads_neither_numpy_nor_serve():
+    # `batch` setup time includes this import; every subcommand loads
+    # what it needs when it runs.
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import json, sys\nimport repro.cli\n"
+            "print(json.dumps(sorted(sys.modules)))\n",
+        ],
+        capture_output=True,
+        text=True,
+        env=_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = [
+        m
+        for m in json.loads(proc.stdout)
+        if m.split(".")[0] == "numpy" or m.startswith("repro.serve")
+    ]
+    assert loaded == []
+
+
 # -- a live router and its workers ---------------------------------------------
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ class TestStateMatchesBatch:
         assert capacity["clean_windows"] == clean
         assert capacity["history_days"] == n
         assert capacity["mean_survival"] == mean_survival(
-            [(clean, golden_state.n_machines, n)], golden_predictor.laplace
+            clean, golden_state.n_machines, n, golden_predictor.laplace
         )
 
     def test_window_count_matches_matrix(self, golden_dataset, golden_state):
@@ -311,6 +312,29 @@ class TestErrorPaths:
         assert excinfo.value.status == 404
 
 
+class TestContentLength:
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_400_and_closed(
+        self, golden_columns, length
+    ):
+        state = ServeState.from_columns(golden_columns)
+        with start_server(state) as handle:
+            with socket.create_connection(
+                (handle.host, handle.port), timeout=10.0
+            ) as sock:
+                sock.sendall(
+                    b"POST /v1/ingest HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Length: " + length.encode() + b"\r\n\r\n"
+                )
+                # Reading to EOF proves the server closed the connection.
+                received = b""
+                while chunk := sock.recv(4096):
+                    received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400"), received
+        assert "Content-Length" in json.loads(body)["error"]
+
+
 class TestPreIngest:
     def test_query_before_any_data_503(self):
         state = ServeState(4, 0)
@@ -359,10 +383,16 @@ class TestIngestValidation:
 
     def test_bad_jsonl_line_numbered(self):
         state = ServeState(4, 7)
-        with pytest.raises(ServeError, match="line 2"):
-            state.ingest_jsonl(
-                ['{"machine_id": 0, "start": 1, "end": 2, "state": 3}', "{oops"]
-            )
+        app = ServeApp(state)
+        status, payload = app.handle(
+            "POST",
+            "/v1/ingest",
+            b'{"machine_id": 0, "start": 1, "end": 2, "state": 3}\n{oops',
+        )
+        app.close()
+        assert status == 400
+        assert "line 2" in payload["error"]
+        assert state.tier_stats().streamed_events == 0
 
     def test_ingest_extends_horizon_and_answers(self):
         state = ServeState(2, 0, history_days=4)

@@ -16,7 +16,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +39,7 @@ from repro.serve import (
 )
 from repro.traces.generate import generate_dataset
 from repro.traces.records import EventColumns
+from repro.traces.shards import generate_shards
 from repro.units import DAY
 
 N_MACHINES = 6
@@ -352,3 +359,75 @@ class TestSnapshots:
         finally:
             ingester.close(timeout=10.0)
         assert state.tier_stats().streamed_events == 2
+
+
+class TestStdinIngest:
+    """``serve --stdin`` feeds the same ingest path as ``POST /v1/ingest``."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stdin_lines_join_the_http_ordering(self, tmp_path, workers):
+        # HTTP t=100 (flushed), then stdin t=500, both for machine 0.
+        # The queue's tail must see the stdin event: an HTTP batch at
+        # t=300 is then out of order, and resending t=500 is a duplicate.
+        config = dataclasses.replace(
+            FgcsConfig(),
+            testbed=TestbedConfig(n_machines=4, duration=7 * DAY),
+            seed=42,
+        )
+        root = tmp_path / "fleet"
+        generate_shards(config, root, 2, format="binary")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", str(root),
+             "--workers", str(workers), "--stdin"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            start_new_session=True,
+        )
+
+        def at(start: float) -> dict:
+            return {"machine_id": 0, "start": start, "end": start + 60.0,
+                    "state": 3}
+
+        def streamed(client: ServeClient) -> int:
+            stats = client.stats()
+            return stats.get("totals", stats.get("ingest"))["streamed_events"]
+
+        try:
+            banner = ""
+            while " on http://" not in banner:
+                line = proc.stderr.readline()
+                assert line, f"daemon did not start: {banner!r}"
+                banner += line
+            url = banner.split(" on ", 1)[1].split()[0]
+            with ServeClient(url) as client:
+                assert client.ingest([at(100.0)])["accepted"] == 1
+                client.flush()
+                proc.stdin.write(json.dumps(at(500.0)) + "\n")
+                proc.stdin.flush()
+                deadline = time.monotonic() + 20.0
+                while streamed(client) < 2:
+                    assert time.monotonic() < deadline, "stdin line not applied"
+                    time.sleep(0.05)
+                    client.flush()
+                status, payload = client.request_raw(
+                    "POST", "/v1/ingest", json.dumps([at(300.0)]).encode()
+                )
+                assert status == 409, payload
+                resent = client.ingest([at(500.0)])
+                assert (resent["accepted"], resent["deduplicated"]) == (0, 1)
+                client.flush()
+                assert streamed(client) == 2
+                proc.stdin.close()
+                client.shutdown()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait(timeout=60)
+            proc.stderr.close()

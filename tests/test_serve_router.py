@@ -132,28 +132,49 @@ class TestRouterMatchesSingleProcess:
         assert merged["mean_survival"] == expected["mean_survival"]
 
     def test_capacity_mean_over_windows_of_different_lengths(self, fleet):
-        # Streaming a day-27 event moves only worker 1's horizon.  For
-        # day 26 (a Saturday) worker 1 then averages the 6 weekend days
-        # before it, while worker 0, anchored at its day-21 horizon (a
-        # Monday), averages 8 weekdays: no single process answers that,
-        # so the mean is checked against the per-machine survivals.
+        # A day-27 event reaches only the last worker and moves only its
+        # own horizon.  Anchored there, day 26 (a Saturday) would average
+        # 6 weekend days on that worker and 8 weekdays on a worker still
+        # at its day-21 horizon (a Monday).  The router pins the fleet
+        # horizon on every query instead, so after a flush each answer
+        # == one process fed the same events, with or without a day.
         root, store = fleet
-        with start_router(store, str(root), n_workers=2) as handle:
-            with ServeClient(handle.url) as client:
-                machine = handle.supervisor.workers[1].machine_lo
-                client.ingest(
-                    [{"machine_id": machine, "start": 27 * DAY + 60.0,
-                      "end": 27 * DAY + 660.0, "state": 3}]
-                )
-                client.flush()
-                merged = client.capacity(6.0, day=26, hour=0.0)
-                ranked = client.rank(6.0, k=N_MACHINES, day=26, hour=0.0)
-        assert merged["history_days"] is None
-        survivals = [entry["survival"] for entry in ranked["machines"]]
-        assert len(set(survivals)) > 1
-        assert merged["mean_survival"] == pytest.approx(
-            sum(survivals) / N_MACHINES, rel=1e-12
+        event = {"machine_id": N_MACHINES - 1, "start": 27 * DAY + 60.0,
+                 "end": 27 * DAY + 660.0, "state": 3}
+        single = ServeState.from_columns(
+            EventColumns.from_dataset(store.load_full())
         )
+        single.ingest([event])
+        targets = [
+            f"{path}&duration=6{day}"
+            for path in (
+                "/v1/availability?machine=0",
+                f"/v1/availability?machine={N_MACHINES - 1}",
+                "/v1/capacity?threshold=0.5",
+                f"/v1/rank?k={N_MACHINES}",
+            )
+            for day in ("", "&day=26")
+        ]
+        with start_server(single) as handle:
+            with ServeClient(handle.url) as client:
+                expected = [client.request_raw("GET", t) for t in targets]
+        for _, one in expected:
+            assert one.pop("workers", 1) == 1
+        assert expected[0][1]["day"] == single.horizon_day == 28
+        assert expected[4][1]["history_days"] == 8
+        assert expected[5][1]["history_days"] == 6
+        for n_workers in (1, 2):
+            with start_router(store, str(root), n_workers=n_workers) as handle:
+                with ServeClient(handle.url) as client:
+                    client.ingest([event])
+                    client.flush()
+                    answers = [client.request_raw("GET", t) for t in targets]
+            for target, (status, payload), (_, one) in zip(
+                targets, answers, expected
+            ):
+                assert status == 200, (n_workers, target, payload)
+                assert payload.pop("workers", n_workers) == n_workers
+                assert payload == one, (n_workers, target)
 
     def test_rank_merge_exact(self, router, reference):
         _, client = router
