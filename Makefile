@@ -1,12 +1,33 @@
 # Convenience targets for the FGCS reproduction.
 
-.PHONY: install test bench artifacts report serve-smoke clean
+.PHONY: install test tier1 bench artifacts report serve-smoke clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
 
+# The tier-1 suite, from the source tree (no install needed).
 test:
-	pytest tests/
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -x -q
+
+# Everything CI's tier-1 job checks, in its order:
+# - the numpy and scipy versions, so a failing filter-kernel fast-path
+#   test names the scipy that moved the kernel;
+# - the tier-1 suite;
+# - perfbench's self-tests;
+# - that perfbench's tracer, which patches methods by name, still finds
+#   each one: a renamed or moved method fails here instead of silently
+#   emptying the traced per-layer breakdown;
+# - a 3 s perfbench batch run (about 6 s on one core), which exits 0
+#   only when streaming analysis == monolithic analysis of the same
+#   shards and the shard fingerprints agree across passes, so every
+#   generator change meets the batch gates, not only benchmarked ones.
+tier1:
+	python -c "import numpy, scipy; print('numpy', numpy.__version__, 'scipy', scipy.__version__)"
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -x -q --durations=10
+	python -m pytest -q perfbench/test_perfbench.py
+	cd perfbench && PYTHONPATH=../src python -c \
+	    "import spans; spans.install_batch(); spans.install_serve()"
+	python perfbench/run.py --workload batch --seed 3 --seconds 3 --trace 0
 
 bench:
 	pytest benchmarks/ --benchmark-only

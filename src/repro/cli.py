@@ -937,7 +937,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import time
 
     from .errors import ServeError, TraceError
-    from .obs import get_registry
+    from .obs import MetricsRegistry, get_registry
     from .serve import ServeSpec, boot, start_router
     from .traces import is_shard_store, open_shards
 
@@ -962,7 +962,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    # /v1/stats reports from the registry, so the daemon keeps one with or
+    # without a run manifest.
     registry = get_registry()
+    if not registry.enabled:
+        registry = MetricsRegistry()
     try:
         if args.workers == 1:
             spec = ServeSpec(args.trace, host=args.host, port=args.port, **knobs)
@@ -1529,14 +1533,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
 
     setup_logging(level=args.log_level, json_lines=args.log_json)
-    registry = MetricsRegistry()
+    # Telemetry (the registry and the background resource sampler) runs
+    # only when an output for it was asked for, preserving the
+    # zero-cost-when-disabled contract.
+    telemetry = bool(args.metrics_out or args.trace_out)
+    registry = MetricsRegistry(enabled=telemetry)
     for name in _DECLARED_COUNTERS:
         registry.inc(name, 0)
-    # The background resource sampler only runs when telemetry output was
-    # asked for, preserving the zero-cost-when-disabled contract.
-    sampler = None
-    if args.metrics_out or args.trace_out:
-        sampler = ResourceSampler().start()
+    sampler = ResourceSampler().start() if telemetry else None
 
     from .errors import ConfigError, FaultError
 

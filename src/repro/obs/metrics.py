@@ -33,10 +33,12 @@ The registry honors two contracts the pipelines rely on:
   telemetry on or off (asserted by ``tests/test_obs_wiring.py``).
 
 Access goes through a module-level current registry: the default is
-disabled, the CLI installs an enabled one per invocation via
-:func:`use_registry`, and tests inject their own.  Spans assume a single
-recording thread (the parent process's main thread — all instrumented
-call sites live there); counters/gauges/histograms are lock-protected.
+disabled, the CLI installs one per invocation via :func:`use_registry`
+(enabled only when ``--metrics-out`` or ``--trace-out`` asks for its
+output; ``serve`` keeps an enabled one for ``/v1/stats``), and tests
+inject their own.  Spans assume a single recording thread (the parent
+process's main thread — all instrumented call sites live there);
+counters/gauges/histograms are lock-protected.
 """
 
 from __future__ import annotations

@@ -83,10 +83,12 @@ class CountingRng:
     proxy — and tallies how many variates each call produced (an array
     draw counts its size, a scalar draw counts one).  The trace pipeline
     wraps its per-machine streams with this when telemetry is enabled and
-    reports the totals as ``rng.draws.<stream>`` counters.
+    reports the totals as ``rng.draws.<stream>`` counters.  Each method's
+    counting wrapper is built on its first lookup and stored on the
+    instance, so later lookups find it without calling ``__getattr__``.
     """
 
-    __slots__ = ("_rng", "draws")
+    __slots__ = ("_rng", "draws", "__dict__")
 
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
@@ -103,6 +105,7 @@ class CountingRng:
             self.draws += int(size) if size is not None else 1
             return out
 
+        setattr(self, name, counted)
         return counted
 
 

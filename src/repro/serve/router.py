@@ -466,7 +466,14 @@ class RouterApp(Pipeline):
         """
         slices: dict[WorkerHandle, list] = {}
         for event in events:
-            owner = self.supervisor.worker_for_machine(_event_machine(event))
+            machine = _event_machine(event)
+            if not 0 <= machine < self.n_machines:
+                # A bad payload (400), as in one process; a query for the
+                # machine is the unknown-machine 404.
+                raise ServeError(
+                    f"machine {machine} outside fleet [0, {self.n_machines})"
+                )
+            owner = self.supervisor.worker_for_machine(machine)
             slices.setdefault(owner, []).append(event)
         bodies = [(w, json.dumps(evs).encode("utf-8")) for w, evs in slices.items()]
         if dry:

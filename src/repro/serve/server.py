@@ -36,10 +36,11 @@ POST   ``/v1/flush``             block until queued ingest is applied
 POST   ``/v1/shutdown``          graceful stop
 ====== ========================= ==========================================
 
-Error contract: unknown machine → 404; a machine outside this worker's
-range → 421 (misdirected; the router owns the machine→worker map);
-malformed or missing parameters (including an invalid window, via
-:class:`~repro.errors.PredictionError`, and a bad ``Content-Length``)
+Error contract: a query for an unknown machine → 404; a machine outside
+this worker's range → 421 (misdirected; the router owns the
+machine→worker map); malformed or missing parameters (including an
+invalid window, via :class:`~repro.errors.PredictionError`, and a bad
+``Content-Length``) and ingest events for a machine outside the fleet
 → 400; queries before any data exists → 503; a down worker's range →
 503 with a ``Retry-After`` header; ingest ordering violations → 409;
 ingest-queue backpressure → 429 with a ``Retry-After`` header and

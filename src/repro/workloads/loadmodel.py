@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.signal
 
 from ..config import FgcsConfig
 from ..core.model import DEFAULT_GUEST_WORKING_SET_MB
@@ -27,6 +26,7 @@ from ..core.samples import SampleBatch
 from ..errors import ConfigError
 from ..rng import RngFactory
 from ..units import DAY, HOUR
+from .iir import ar1_filter
 from .labuser import ActivityProfile, EpisodeKind, EpisodePlanner, PlannedEpisode
 
 __all__ = [
@@ -62,7 +62,7 @@ def _ar1(n: int, rng: np.random.Generator, *, corr_time: float, step: float) -> 
     eps = rng.standard_normal(n) * np.sqrt(1.0 - rho * rho)
     # Warm start from the stationary distribution.
     eps[0] = rng.standard_normal()
-    return scipy.signal.lfilter([1.0], [1.0, -rho], eps)
+    return ar1_filter(rho, eps)
 
 
 def synthesize_samples(
@@ -159,7 +159,7 @@ def _ar1_drawn(rng: np.random.Generator, buf: np.ndarray, rho: float) -> np.ndar
     eps = buf[:-1]
     eps *= np.sqrt(1.0 - rho * rho)
     eps[0] = buf[-1]
-    return scipy.signal.lfilter([1.0], [1.0, -rho], eps)
+    return ar1_filter(rho, eps)
 
 
 def _logistic_inplace(x: np.ndarray) -> np.ndarray:
@@ -362,11 +362,12 @@ def _plant_episodes(
 
     Every episode's AR(1) wobble is then filtered at once: episodes are
     grouped by the bit length of their sample count, padded to the
-    group's longest, and filtered along rows of one 2-D ``lfilter``
-    call.  The filter is causal, so whatever follows a row's end cannot
-    reach back into it, and row-wise filtering is bit-identical to the
-    legacy per-episode calls.  Planned episodes never overlap, so each
-    group lands in ``load`` with one scatter.
+    group's longest, and filtered along rows of one 2-D
+    :func:`~repro.workloads.iir.ar1_filter` call.  The filter is causal,
+    so whatever follows a row's end cannot reach back into it, and
+    row-wise filtering is bit-identical to the legacy per-episode calls.
+    Planned episodes never overlap, so each group lands in ``load`` with
+    one scatter.
     """
     lab = config.lab
     th2 = config.thresholds.th2
@@ -435,7 +436,7 @@ def _plant_episodes(
         eps = windows[off[sel], :w]  # a copy: fancy indexing
         eps *= scale
         eps[:, 0] = z[off[sel] + k_sel]  # the warm start, drawn last
-        wobble = scipy.signal.lfilter([1.0], [1.0, -rho], eps, axis=1)
+        wobble = ar1_filter(rho, eps)
         level, amp, floor, ceiling = params[kind[sel]].T[:, :, None]
         np.tanh(wobble, out=wobble)
         wobble *= amp

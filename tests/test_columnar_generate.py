@@ -382,6 +382,49 @@ class TestCliUnchanged:
         assert draws["busyness"] == 2
         assert draws["plan"] > 0 and draws["signal"] > 0
 
+    def test_plain_generate_wraps_no_rng(self, tmp_path, monkeypatch):
+        # Draws are counted only when a telemetry output is asked for;
+        # then the manifest reports what the streams really yielded.
+        import repro.traces.generate as generate_module
+
+        wrapped = []
+
+        class Recording(CountingRng):
+            __slots__ = ()
+
+            def __init__(self, rng):
+                super().__init__(rng)
+                wrapped.append(self)
+
+        monkeypatch.setattr(generate_module, "CountingRng", Recording)
+        common = ["--machines", "2", "--days", "3", "--seed", "42"]
+        plain, told = tmp_path / "plain.jsonl", tmp_path / "told.jsonl"
+        assert cli.main(["generate", str(plain), *common]) == 0
+        assert wrapped == []
+
+        manifest_path = tmp_path / "manifest.json"
+        rc = cli.main(
+            ["generate", str(told), *common, "--metrics-out", str(manifest_path)]
+        )
+        assert rc == 0
+        assert len(wrapped) == 2
+        assert plain.read_bytes() == told.read_bytes()
+        draws = json.loads(manifest_path.read_text())["generation"]["rng_draws"]
+        config = _tiny_config(machines=2, days=3)
+        gen = MachineTraceGenerator(config)
+        signal = 0
+        for mid in range(2):
+            legacy_rng = CountingRng(RngFactory(42).generator("signal", mid))
+            synthesize_samples(
+                gen.plan(mid), config=config, profile=gen.profile, rng=legacy_rng
+            )
+            signal += legacy_rng.draws
+        assert draws == {
+            "busyness": 2,
+            "plan": sum(rng.draws for rng in wrapped),
+            "signal": signal,
+        }
+
     def test_sharded_rng_draws_match_monolithic(self, tmp_path):
         # Shard work units count draws only when the parent registry is
         # enabled; a sharded run must still report the monolithic totals.

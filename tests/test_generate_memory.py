@@ -5,7 +5,8 @@ machine's transient columns at a time, so their peak resident set is the
 floor of a worker's footprint.  The probe runs in a fresh interpreter,
 where ``VmHWM`` (the peak resident set the kernel reports) starts from a
 clean import, and measures how far building the context and generating
-two 92-day student-lab machines raise it.
+two 92-day student-lab machines raise it, and where the peak ends up
+with the import counted in.
 """
 
 import json
@@ -19,10 +20,17 @@ import pytest
 #: Peak-RSS growth allowed for the context plus two 92-day machines, MiB.
 #: The layout that kept the intensity grid and per-machine temporaries
 #: grew ~101 MiB here (context ~53, machines ~48); the in-place layout
-#: grows ~54 MiB (context ~31, machines ~23).  The bound sits between the
-#: two, so allocator and NumPy-version noise passes while a return of the
-#: whole-grid temporaries fails.
+#: grows ~61 MiB (context ~31, machines ~29).  The bound sits between
+#: the two, so allocator and NumPy-version noise passes while a return
+#: of the whole-grid temporaries fails.
 MAX_GROWTH_MB = 80.0
+
+#: Peak resident set of the whole probe (import, context, two machines),
+#: MiB.  Importing ``scipy.signal`` for the AR(1) filter put it at
+#: ~159 MiB; loading only the filter's compiled kernel
+#: (:mod:`repro.workloads.iir`) puts it at ~91 MiB.  The bound fails the
+#: first and leaves the second room for allocator noise.
+MAX_PEAK_MB = 120.0
 
 PROBE = """
 import json
@@ -45,7 +53,7 @@ synth_context(config)
 after_context = hwm()
 for mid in range(2):
     _generate_machine_columns((config, mid, mid, True, False))
-print(json.dumps([after_context - before, hwm() - after_context]))
+print(json.dumps([after_context - before, hwm() - after_context, hwm()]))
 """
 
 
@@ -64,7 +72,10 @@ def test_context_and_two_machines_peak_rss():
         env=env,
         timeout=120,
     )
-    context_mb, machines_mb = json.loads(out.stdout.strip().splitlines()[-1])
+    context_mb, machines_mb, peak_mb = json.loads(
+        out.stdout.strip().splitlines()[-1]
+    )
     assert context_mb + machines_mb < MAX_GROWTH_MB, (
         f"context +{context_mb:.1f} MiB, two machines +{machines_mb:.1f} MiB"
     )
+    assert peak_mb < MAX_PEAK_MB, f"peak {peak_mb:.1f} MiB"

@@ -9,6 +9,11 @@ about a second and 70 MiB.  Of the prediction layer it loads only
 predictors or the evaluation harness.  ``repro``, ``repro.traces`` and
 ``repro.prediction`` export their public names lazily (PEP 562) so that
 this holds while ``from repro import generate_dataset`` keeps working.
+
+A generating process loads no ``scipy.signal`` either: the load model's
+AR(1) filter calls scipy's compiled kernel directly
+(:mod:`repro.workloads.iir`), which spares every generate worker and
+shard unit the ~78 MiB that package import costs.
 """
 
 from __future__ import annotations
@@ -109,6 +114,38 @@ def test_cli_import_loads_neither_numpy_nor_serve():
         if m.split(".")[0] == "numpy" or m.startswith("repro.serve")
     ]
     assert loaded == []
+
+
+_GENERATE = """
+import json, sys
+from repro.config import ExecutionConfig
+from repro.scenarios import compile_scenario, get_scenario
+from repro.scenarios.generate import generate_scenario_shards
+
+compiled = compile_scenario(get_scenario(sys.argv[1]), machines=4, days=7, seed=42)
+generate_scenario_shards(
+    compiled, sys.argv[2], 2, format="binary", execution=ExecutionConfig(jobs=1)
+)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+@pytest.mark.parametrize("scenario", ["student-lab-baseline", "flash-crowd"])
+def test_generating_process_never_imports_scipy_signal(scenario, tmp_path):
+    # jobs=1 runs the same unit function a pool worker runs.  The plain
+    # baseline takes generate_shards, flash-crowd the scenario units.
+    proc = subprocess.run(
+        [sys.executable, "-c", _GENERATE, scenario, str(tmp_path / "fleet")],
+        capture_output=True,
+        text=True,
+        env=_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    scipy_modules = json.loads(proc.stdout)
+    # The kernel's own extension module may be listed; its package may not.
+    assert "scipy.signal" not in scipy_modules, scipy_modules
+    assert (tmp_path / "fleet" / "manifest.json").is_file()
 
 
 # -- a live router and its workers ---------------------------------------------

@@ -15,6 +15,7 @@ the snapshot dir, so post-recovery answers still ``==`` batch.
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -300,6 +301,38 @@ class TestCrossWorkerIngest:
             assert lane["up"] is True
             assert lane["tier"]["block_machines"] == 2
             assert "queue" in lane["ingest"]
+
+    def test_machine_outside_fleet_is_400_like_one_process(self, tmp_path):
+        config = dataclasses.replace(
+            FgcsConfig(),
+            testbed=TestbedConfig(n_machines=4, duration=7 * DAY),
+            seed=42,
+        )
+        root = tmp_path / "fleet"
+        generate_shards(config, root, 2, format="binary")
+        store = open_shards(root)
+        body = json.dumps(
+            [{"machine_id": 9, "start": 7 * DAY + 60.0,
+              "end": 7 * DAY + 660.0, "state": 3}]
+        ).encode()
+        single = ServeState.from_columns(
+            EventColumns.from_dataset(store.load_full())
+        )
+        with start_server(single) as handle:
+            with ServeClient(handle.url) as client:
+                expected = client.request_raw("POST", "/v1/ingest", body)
+        assert expected == (400, {"error": "machine 9 outside fleet [0, 4)"})
+        for n_workers in (1, 2):
+            with start_router(store, str(root), n_workers=n_workers) as handle:
+                with ServeClient(handle.url) as client:
+                    got = client.request_raw("POST", "/v1/ingest", body)
+                    query = client.request_raw(
+                        "GET", "/v1/availability?machine=9&duration=6"
+                    )
+                    stats = client.stats()
+            assert got == expected, n_workers
+            assert query[0] == 404, n_workers
+            assert stats["totals"]["streamed_events"] == 0
 
 
 class TestClientRetries:
