@@ -1,6 +1,7 @@
 # Convenience targets for the FGCS reproduction.
 
-.PHONY: install test tier1 bench artifacts report serve-smoke clean
+.PHONY: install test tier1 bench artifacts report serve-smoke \
+        scenarios-smoke fleet-smoke clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -48,8 +49,39 @@ serve-smoke:
 	sh benchmarks/serve_smoke.sh 1 serve-fleet serve-manifest.json
 	sh benchmarks/serve_smoke.sh 2 serve-fleet serve-scale-manifest.json
 
+# The scenario registry and its harnesses: every library scenario
+# validates; the DSL, property, golden and generation suites pass; the
+# capacity and load harnesses pass on three scenarios that between them
+# use every DSL feature (plain baseline, regime schedule and outages,
+# flash crowds); and benchmarks/scenarios_smoke.sh renders their
+# differential report and checks its manifest (in scenario-smoke-out/).
+scenarios-smoke:
+	PYTHONPATH=src python -m repro.cli scenario validate --all
+	PYTHONPATH=src python -m pytest -x -q --durations=10 \
+	    tests/test_scenarios_dsl.py tests/test_scenarios_property.py \
+	    tests/test_scenarios_golden.py tests/test_scenarios_generate.py
+	PYTHONPATH=src python -m pytest -x -q --durations=10 \
+	    "tests/scenarios/test_capacity.py::TestScenarioCapacity::test_generate_and_analyze_under_budget[student-lab-baseline]" \
+	    "tests/scenarios/test_capacity.py::TestScenarioCapacity::test_generate_and_analyze_under_budget[semester-break]" \
+	    "tests/scenarios/test_capacity.py::TestScenarioCapacity::test_generate_and_analyze_under_budget[flash-crowd]" \
+	    "tests/scenarios/test_load.py::TestScenarioLoad::test_serve_zero_5xx_and_batch_identity[student-lab-baseline]" \
+	    "tests/scenarios/test_load.py::TestScenarioLoad::test_serve_zero_5xx_and_batch_identity[semester-break]" \
+	    "tests/scenarios/test_load.py::TestScenarioLoad::test_serve_zero_5xx_and_batch_identity[flash-crowd]"
+	sh benchmarks/scenarios_smoke.sh scenario-smoke-out
+
+# The merge-equivalence suites, then benchmarks/fleet_smoke.sh: a
+# 200-machine fleet generated as 8 shards by 2 workers, its Chrome trace,
+# streaming == monolithic analysis in both formats and the manifests of
+# every phase (in fleet-smoke-out/).
+fleet-smoke:
+	PYTHONPATH=src python -m pytest -x -q --durations=10 \
+	    tests/test_accumulators_property.py tests/test_shards.py \
+	    tests/test_analysis_edgecases.py
+	sh benchmarks/fleet_smoke.sh fleet-smoke-out
+
 clean:
 	rm -rf benchmarks/out .pytest_cache .hypothesis .benchmarks \
 	       report_out test_output.txt bench_output.txt serve-fleet \
-	       serve-manifest.json serve-scale-manifest.json
+	       serve-manifest.json serve-scale-manifest.json \
+	       scenario-smoke-out fleet-smoke-out
 	find . -name __pycache__ -type d -exec rm -rf {} +

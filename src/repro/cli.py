@@ -662,17 +662,23 @@ def _record_scenario(compiled) -> None:
     )
 
 
-def _generate_scenario(args: argparse.Namespace) -> int:
-    from .scenarios import generate_scenario_columns, generate_scenario_shards
-    from .traces import save_columns
+def cmd_generate(args: argparse.Namespace) -> int:
+    from .traces import generate_dataset_columns, generate_shards, save_columns
     from .units import DAY
 
-    compiled = _compiled_scenario_from(args)
-    execution = _execution_from(args)
-    _record_scenario(compiled)
+    if args.scenario:
+        from .scenarios import scenario_fleet
+
+        compiled = _compiled_scenario_from(args)
+        _record_scenario(compiled)
+        fleet, execution = scenario_fleet(compiled), _execution_from(args)
+        suffix = f" (scenario {compiled.spec.name})"
+    else:
+        config = _config_from(args)
+        fleet, execution, suffix = config, config.execution, ""
     if args.shards is not None:
-        manifest = generate_scenario_shards(
-            compiled,
+        manifest = generate_shards(
+            fleet,
             args.output,
             args.shards,
             progress=_progress(args, "generate", unit="shard"),
@@ -681,54 +687,20 @@ def _generate_scenario(args: argparse.Namespace) -> int:
         )
         print(
             f"wrote {manifest.n_events} events across {manifest.n_shards} "
-            f"shard(s) to {args.output} (scenario {compiled.spec.name})"
-        )
-        return _partial_results(manifest)
-    columns = generate_scenario_columns(
-        compiled,
-        progress=_progress(args, "generate"),
-        execution=execution,
-    )
-    save_columns(columns, args.output, format=args.format)
-    machine_days = columns.n_machines * columns.span / DAY
-    print(
-        f"wrote {len(columns)} events over {machine_days:.0f} "
-        f"machine-days to {args.output} (scenario {compiled.spec.name})"
-    )
-    return _partial_results(columns)
-
-
-def cmd_generate(args: argparse.Namespace) -> int:
-    from .traces import generate_dataset_columns, generate_shards, save_columns
-    from .units import DAY
-
-    if args.scenario:
-        return _generate_scenario(args)
-    config = _config_from(args)
-    if args.shards is not None:
-        manifest = generate_shards(
-            config,
-            args.output,
-            args.shards,
-            progress=_progress(args, "generate", unit="shard"),
-            format=args.format,
-        )
-        print(
-            f"wrote {manifest.n_events} events across {manifest.n_shards} "
-            f"shard(s) to {args.output}"
+            f"shard(s) to {args.output}{suffix}"
         )
         return _partial_results(manifest)
     # The object-free columnar pipeline: events go straight from the
     # detector's structured rows to disk (either format, identical bytes
     # to the legacy per-event path).
     columns = generate_dataset_columns(
-        config, progress=_progress(args, "generate")
+        fleet, progress=_progress(args, "generate"), execution=execution
     )
     save_columns(columns, args.output, format=args.format)
     machine_days = columns.n_machines * columns.span / DAY
     print(
         f"wrote {len(columns)} events over {machine_days:.0f} "
-        f"machine-days to {args.output}"
+        f"machine-days to {args.output}{suffix}"
     )
     return _partial_results(columns)
 
@@ -995,7 +967,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     try:
         if args.stdin:
-            _ingest_stdin(handle.app, registry)
+            _ingest_stdin(handle, registry)
         handle.wait()
     except KeyboardInterrupt:
         print("interrupted, shutting down", file=sys.stderr)
@@ -1022,27 +994,45 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ingest_stdin(app, registry) -> None:
+def _ingest_stdin(handle, registry) -> None:
     """Apply each stdin line as one ``POST /v1/ingest`` batch, in order.
 
-    A line is acknowledged before the next is read.  A 429 (queue full)
+    A line is acknowledged before the next is applied.  A 429 (queue full)
     or 503 (the owning worker is restarting) is waited out, never
     dropped; any other rejection is reported and counted in
-    ``serve.ingest_errors``.
+    ``serve.ingest_errors``.  Returns at end of input, or once the
+    server has stopped (``POST /v1/shutdown``) even while the writer
+    keeps stdin open: the descriptor is polled with ``select`` and read
+    unbuffered, on this thread.
     """
+    import os
+    import select
     import time
 
-    for line in sys.stdin:
-        if not line.strip():
-            continue
+    def apply(line: bytes) -> None:
         while True:
-            status, payload = app.handle("POST", "/v1/ingest", line.encode())
+            status, payload = handle.app.handle("POST", "/v1/ingest", line)
             if status not in (429, 503):
                 break
             time.sleep(payload.get("retry_after", 0.25))
         if status != 200:
             print(f"ingest error: {payload['error']}", file=sys.stderr)
             registry.inc("serve.ingest_errors")
+
+    fd = sys.stdin.fileno()
+    pending = b""
+    while handle.thread.is_alive():
+        if not select.select([fd], [], [], 0.1)[0]:
+            continue
+        chunk = os.read(fd, 1 << 16)
+        *lines, pending = (pending + chunk).split(b"\n")
+        if not chunk:  # end of input: the last line may lack its newline
+            lines.append(pending)
+        for line in lines:
+            if line.strip():
+                apply(line)
+        if not chunk:
+            return
 
 
 def cmd_query(args: argparse.Namespace) -> int:

@@ -8,23 +8,21 @@ semantics change so stale entries can never be served).  Execution
 settings (``FgcsConfig.execution``) are excluded: worker count, cache
 location, and fault handling never change what is generated.
 
-Entries are stored through :mod:`repro.traces.io` in the binary
-``fgcs-bin`` format since cache schema v2 (:data:`CACHE_SCHEMA_VERSION`)
-— the cache is pure machine-to-machine traffic, so the zero-copy format's
-decode speed matters and JSONL's greppability does not.  Entries from the
-v1 layout (``<key>.jsonl``) are evicted as stale on lookup (counted as
-``cache.stale_evicted``) and regenerated.  Writes are atomic (temp file +
-rename) so a crashed run can leave at worst a stale temp file, never a
-truncated entry.  Corrupted or unreadable entries are treated as misses
+Entries are event-column units stored through :mod:`repro.traces.io`
+in the binary ``fgcs-bin`` format since cache schema v2
+(:data:`CACHE_SCHEMA_VERSION`) — the cache is pure machine-to-machine
+traffic, so the zero-copy format's decode speed matters and JSONL's
+greppability does not.  Writes are atomic (temp file + rename) so a
+crashed run can leave at worst a stale temp file, never a truncated
+entry.  Corrupted or unreadable entries are treated as misses
 and removed (with a logged warning), falling back to regeneration; the
 eviction re-checks that the file it is about to delete is still the one
 it failed to read, so a concurrent writer's freshly replaced (good) entry
 is never evicted.  A failed write (disk full, permissions) degrades to a
 logged warning — the pipeline continues uncached rather than aborting.
 Cache traffic is counted on the ambient metrics registry (``cache.hit`` /
-``cache.miss`` / ``cache.corrupt_evicted`` / ``cache.stale_evicted`` /
-``cache.write`` / ``cache.write_failed``) so run manifests show where the
-traffic went.
+``cache.miss`` / ``cache.corrupt_evicted`` / ``cache.write`` /
+``cache.write_failed``) so run manifests show where the traffic went.
 
 A :class:`repro.faults.FaultPlan` can be attached for chaos testing: the
 ``cache.read_corrupt`` site forces the eviction/regeneration path and
@@ -50,8 +48,9 @@ from ..faults.plan import (
     FaultPlan,
 )
 from ..obs.metrics import get_registry
-from ..traces.dataset import TraceDataset
-from ..traces.io import SCHEMA_VERSION, load_dataset, save_dataset
+from ..traces.binio import open_columns
+from ..traces.io import SCHEMA_VERSION, save_columns
+from ..traces.records import EventColumns, validate_columns
 
 logger = logging.getLogger(__name__)
 
@@ -69,9 +68,8 @@ __all__ = [
 CODE_SCHEMA_VERSION = 1
 
 #: Version of the cache's on-disk layout.  v1 stored ``<key>.jsonl``;
-#: v2 stores ``<key>.bin`` in the binary trace format.  Keys are
-#: unchanged — a v1 entry for the same key is recognized and evicted as
-#: stale rather than silently shadowing the v2 entry.
+#: v2 stores ``<key>.bin`` in the binary trace format and never reads a
+#: v1 entry.
 CACHE_SCHEMA_VERSION = 2
 
 #: Dataclass fields excluded from fingerprints, per dataclass type name.
@@ -141,12 +139,12 @@ def _file_identity(path: Path) -> Optional[tuple]:
 
 
 class DatasetCache:
-    """A directory of cached :class:`TraceDataset` files, one per key.
+    """A directory of cached generated datasets, one binary file per key.
 
-    ``get`` never raises on a bad entry: anything unreadable (truncated
-    file, wrong schema, garbage) is removed and reported as a miss, so the
-    caller regenerates and overwrites it.  ``put`` never raises on an
-    unwritable store: the dataset is simply not cached.
+    ``get_columns`` never raises on a bad entry: anything unreadable
+    (truncated file, wrong schema, garbage) is removed and reported as a
+    miss, so the caller regenerates and overwrites it.  ``put_columns``
+    never raises on an unwritable store: the dataset is simply not cached.
     """
 
     def __init__(
@@ -160,27 +158,6 @@ class DatasetCache:
     def path_for(self, key: str) -> Path:
         return self.cache_dir / f"{key}.bin"
 
-    def _legacy_path_for(self, key: str) -> Path:
-        """Where the v1 (JSONL) cache layout stored this key."""
-        return self.cache_dir / f"{key}.jsonl"
-
-    def _evict_stale(self, key: str) -> None:
-        """Drop a v1-layout entry for ``key`` so it cannot linger forever."""
-        legacy = self._legacy_path_for(key)
-        if not legacy.exists():
-            return
-        get_registry().inc("cache.stale_evicted")
-        logger.warning(
-            "evicting stale v1 (jsonl) dataset cache entry %s; the cache "
-            "now stores binary entries (cache schema %d)",
-            key,
-            CACHE_SCHEMA_VERSION,
-        )
-        try:
-            legacy.unlink()
-        except OSError:
-            pass
-
     def _injected(self, site: str, key: str) -> bool:
         if self.fault_plan is None:
             return False
@@ -189,10 +166,11 @@ class DatasetCache:
         get_registry().inc(f"faults.injected.{site}")
         return True
 
-    def get(self, key: str) -> Optional[TraceDataset]:
-        """The cached dataset for ``key``, or ``None`` on a miss."""
+    def get_columns(self, key: str) -> Optional[EventColumns]:
+        """The cached entry for ``key`` as an
+        :class:`~repro.traces.records.EventColumns` (hourly load attached),
+        or ``None`` on a miss."""
         registry = get_registry()
-        self._evict_stale(key)
         path = self.path_for(key)
         # Identity of the entry we are about to read: if the load fails
         # and the file changed in between (a concurrent writer replaced
@@ -204,7 +182,11 @@ class DatasetCache:
         try:
             if self._injected(SITE_CACHE_READ_CORRUPT, key):
                 raise TraceError(f"injected cache read corruption at {key}")
-            dataset = load_dataset(path)
+            _, columns, hourly = open_columns(path, mmap=False)
+            validate_columns(
+                columns.events, n_machines=columns.n_machines, span=columns.span
+            )
+            columns.hourly_load = hourly
         except (TraceError, OSError, ValueError, KeyError) as exc:
             # Corrupted/truncated/stale entry: drop it and regenerate.
             registry.inc("cache.corrupt_evicted")
@@ -229,77 +211,16 @@ class DatasetCache:
                 )
             return None
         registry.inc("cache.hit")
-        return dataset
-
-    def get_columns(self, key: str):
-        """The cached entry for ``key`` as an
-        :class:`~repro.traces.records.EventColumns` (hourly load attached),
-        or ``None`` on a miss.
-
-        Column-native twin of :meth:`get` for the object-free generation
-        pipeline: entries are interchangeable between both readers (same
-        keys, same on-disk bytes), and a bad entry degrades identically —
-        evicted, counted, regenerated by the caller.
-        """
-        from ..traces.binio import open_columns
-        from ..traces.records import validate_columns
-
-        registry = get_registry()
-        self._evict_stale(key)
-        path = self.path_for(key)
-        identity = _file_identity(path)
-        if identity is None:
-            registry.inc("cache.miss")
-            return None
-        try:
-            if self._injected(SITE_CACHE_READ_CORRUPT, key):
-                raise TraceError(f"injected cache read corruption at {key}")
-            _, columns, hourly = open_columns(path, mmap=False)
-            validate_columns(
-                columns.events, n_machines=columns.n_machines, span=columns.span
-            )
-            columns.hourly_load = hourly
-        except (TraceError, OSError, ValueError, KeyError) as exc:
-            registry.inc("cache.corrupt_evicted")
-            registry.inc("cache.miss")
-            logger.warning(
-                "evicting corrupt/unreadable dataset cache entry %s (%s: %s); "
-                "regenerating",
-                key,
-                type(exc).__name__,
-                exc,
-            )
-            if _file_identity(path) == identity:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            else:
-                logger.info(
-                    "cache entry %s was concurrently replaced; keeping the "
-                    "new entry",
-                    key,
-                )
-            return None
-        registry.inc("cache.hit")
         return columns
 
-    def put(self, key: str, dataset: TraceDataset) -> Optional[Path]:
-        """Store a dataset under ``key`` atomically; returns the path.
+    def put_columns(self, key: str, columns: EventColumns) -> Optional[Path]:
+        """Store an event-column unit under ``key`` atomically; returns
+        the path.
 
         Write failures (real or injected) are survivable: the entry is
         simply not cached, a warning is logged, ``cache.write_failed`` is
         counted, and ``None`` is returned.
         """
-        return self._put(key, dataset, save_dataset)
-
-    def put_columns(self, key: str, columns) -> Optional[Path]:
-        """:meth:`put` for an event-column unit — same keys, same bytes."""
-        from ..traces.io import save_columns
-
-        return self._put(key, columns, save_columns)
-
-    def _put(self, key: str, payload, save) -> Optional[Path]:
         registry = get_registry()
         path = self.path_for(key)
         tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
@@ -308,7 +229,7 @@ class DatasetCache:
                 raise OSError(f"injected cache write failure at {key}")
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             # Explicit format: the temp name's suffix would imply jsonl.
-            save(payload, tmp, format="binary")
+            save_columns(columns, tmp, format="binary")
             os.replace(tmp, path)
         except OSError as exc:
             registry.inc("cache.write_failed")

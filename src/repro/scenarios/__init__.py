@@ -22,6 +22,7 @@ from .generate import (
     generate_scenario_shards,
     merge_overlay_rows,
     scenario_dataset_cache_key,
+    scenario_fleet,
     scenario_metadata,
     scenario_shard_cache_key,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "merge_overlay_rows",
     "parse_scenario",
     "scenario_dataset_cache_key",
+    "scenario_fleet",
     "scenario_metadata",
     "scenario_names",
     "scenario_path",

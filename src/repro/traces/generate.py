@@ -26,18 +26,26 @@ straight into an ``EVENT_DTYPE`` row array
 is assembled by concatenating those arrays.
 :func:`generate_dataset_columns` returns the assembled
 :class:`~repro.traces.records.EventColumns` unit as-is (what the CLI and
-the sharded writer consume); :func:`generate_dataset` materializes the
-same columns into a classic :class:`TraceDataset`.  Both produce
-byte-identical serialized output to the legacy per-event path, which
-survives as :func:`_generate_machine` for differential tests and the
-throughput benchmark.
+the sharded writer consume) and is the one place the monolithic dataset
+cache is read and written; :func:`generate_dataset` converts its result
+into a classic :class:`TraceDataset`.  Both produce byte-identical
+serialized output to the legacy per-event path, which survives as
+:func:`_generate_machine` for differential tests and the throughput
+benchmark.
+
+The fleet, shard and cache code runs a :class:`Fleet`: the per-machine
+unit plus the frame, metadata and keys around it.  A stock config is one
+such value; a composed scenario
+(:func:`repro.scenarios.generate.scenario_fleet`) is another, so
+scenarios generate through exactly this code.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -48,7 +56,7 @@ from ..core.model import MultiStateModel
 from ..faults import QUARANTINED
 from ..obs.metrics import get_registry
 from ..rng import CountingRng, RngFactory
-from ..units import HOUR
+from ..units import DAY, HOUR
 from ..workloads.labuser import EpisodePlanner
 from ..workloads.loadmodel import (
     MachineTraceGenerator,
@@ -59,7 +67,12 @@ from ..workloads.loadmodel import (
 from .dataset import TraceDataset
 from .records import EVENT_DTYPE, EventColumns, columns_to_events
 
-__all__ = ["dataset_metadata", "generate_dataset", "generate_dataset_columns"]
+__all__ = [
+    "Fleet",
+    "dataset_metadata",
+    "generate_dataset",
+    "generate_dataset_columns",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -173,8 +186,118 @@ def _fold_machine_telemetry(
             registry.inc(name, n)
 
 
+@dataclass(frozen=True)
+class Fleet:
+    """What one fleet generation runs: a per-machine unit and its frame.
+
+    The fleet, shard and cache code (:func:`generate_dataset_columns`,
+    :func:`repro.traces.shards.generate_shards`) runs any such value.  A
+    stock :class:`~repro.config.FgcsConfig` becomes one through
+    :meth:`of_config`; a composed scenario builds its own
+    (:func:`repro.scenarios.generate.scenario_fleet`).  Picklable: shard
+    units receive it whole.
+    """
+
+    #: The per-machine work unit, a module-level function called as
+    #: ``unit((source, machine_id, event_machine_id, keep_hourly_load,
+    #: count_draws))`` with :func:`_generate_machine_columns`' return shape.
+    unit: Callable
+    #: What ``unit`` generates from.  Cache keys and the shard manifest's
+    #: ``config_fingerprint`` derive from its fingerprint.
+    source: object
+    n_machines: int
+    span: float
+    start_weekday: int
+    #: Provenance every generated dataset and shard of the fleet carries.
+    metadata: dict
+    #: Cache entries are keyed ``<tag>-dataset`` and ``<tag>-shard``.
+    tag: str = "trace"
+    #: Fault unit keys are ``<site>.machine:<i>`` and ``<site>.shard:<i>``.
+    site: str = "generate"
+
+    @classmethod
+    def of_config(cls, config: FgcsConfig) -> "Fleet":
+        """The stock fleet: every machine generated under ``config``."""
+        return cls(
+            unit=_generate_machine_columns,
+            source=config,
+            n_machines=config.testbed.n_machines,
+            span=config.testbed.duration,
+            start_weekday=config.testbed.start_weekday,
+            metadata=dataset_metadata(config),
+        )
+
+    @property
+    def n_hours(self) -> int:
+        return int(self.span // HOUR)
+
+    @property
+    def fingerprint(self) -> str:
+        from ..parallel.cache import config_fingerprint
+
+        return config_fingerprint(self.source)
+
+    def cache_key(self, artifact: str, *extra) -> str:
+        """Dataset-cache key of one ``artifact`` (``dataset`` or ``shard``)."""
+        from ..parallel.cache import config_fingerprint
+
+        return config_fingerprint(
+            self.source, extra=(f"{self.tag}-{artifact}", *extra)
+        )
+
+    def assemble(
+        self,
+        per_machine: list,
+        *,
+        keep_hourly_load: bool,
+        metadata: dict,
+    ) -> EventColumns:
+        """Assemble ``(event_rows, hourly_row)`` per machine into one unit.
+
+        A ``None`` entry is a machine without results: it contributes no
+        rows and its hourly row stays NaN.
+        """
+        n = len(per_machine)
+        hourly = np.full((n, self.n_hours), np.nan) if keep_hourly_load else None
+        blocks: list[np.ndarray] = []
+        for i, result in enumerate(per_machine):
+            if result is None:
+                continue
+            rows, hourly_row = result
+            blocks.append(rows)
+            if hourly is not None and hourly_row is not None:
+                hourly[i, :] = hourly_row
+        return EventColumns(
+            events=(
+                np.concatenate(blocks) if blocks else np.empty(0, dtype=EVENT_DTYPE)
+            ),
+            n_machines=n,
+            span=self.span,
+            start_weekday=self.start_weekday,
+            metadata=metadata,
+            hourly_load=hourly,
+        )
+
+
+def _fleet_and_execution(
+    config: Union[FgcsConfig, Fleet, None], execution: Optional[ExecutionConfig]
+) -> tuple[Fleet, ExecutionConfig]:
+    """The fleet a generation entry point runs, and how to execute it.
+
+    Execution defaults to a config's own settings; a :class:`Fleet`
+    carries none, so it runs with the defaults.
+    """
+    if isinstance(config, Fleet):
+        return config, execution if execution is not None else ExecutionConfig()
+    config = config or FgcsConfig()
+    return (
+        Fleet.of_config(config),
+        execution if execution is not None else config.execution,
+    )
+
+
 def _generate_fleet_columns(
-    config: FgcsConfig,
+    fleet: Fleet,
     *,
     keep_hourly_load: bool,
     progress: Optional[Callable[[int, int], None]],
@@ -182,68 +305,58 @@ def _generate_fleet_columns(
 ) -> EventColumns:
     """Fan machines out over the backend and assemble the column unit.
 
-    No cache interaction here — both public entry points wrap this with
-    their own cache lookup/write.  Quarantined machines contribute no
+    No cache interaction here — :func:`generate_dataset_columns` wraps
+    this with the cache lookup/write.  Quarantined machines contribute no
     event rows and leave their hourly row NaN; their ids land in
     ``metadata["quarantined_machines"]``.
     """
     from ..parallel.backend import get_backend
 
     registry = get_registry()
-    n = config.testbed.n_machines
-    n_hours = int(config.testbed.duration // HOUR)
-    hourly = np.full((n, n_hours), np.nan) if keep_hourly_load else None
-
+    n = fleet.n_machines
     logger.info(
         "generating trace: %d machines × %d days (seed %d, jobs=%d)",
         n,
-        config.testbed.n_days,
-        config.seed,
+        fleet.span // DAY,
+        fleet.metadata["seed"],
         execution.jobs,
     )
     backend = get_backend(execution)
-    fault_context = execution.fault_context("generate.machine", quarantine=True)
+    fault_context = execution.fault_context(
+        f"{fleet.site}.machine", quarantine=True
+    )
     count_draws = registry.enabled
     with registry.span("generate.machines"):
-        per_machine = backend.map(
-            _generate_machine_columns,
-            [(config, mid, mid, keep_hourly_load, count_draws) for mid in range(n)],
+        results = backend.map(
+            fleet.unit,
+            [
+                (fleet.source, mid, mid, keep_hourly_load, count_draws)
+                for mid in range(n)
+            ],
             progress=progress,
             faults=fault_context,
         )
 
     with registry.span("generate.assemble"):
-        row_blocks: list[np.ndarray] = []
+        per_machine: list = []
         quarantined: list[int] = []
-        for mid, result in enumerate(per_machine):
+        for mid, result in enumerate(results):
             if result is QUARANTINED:
                 quarantined.append(mid)
+                per_machine.append(None)
                 continue
             rows, hourly_row, counters, synth_seconds, detect_seconds = result
             _fold_machine_telemetry(
                 registry, counters, synth_seconds, detect_seconds
             )
-            row_blocks.append(rows)
-            if hourly is not None and hourly_row is not None:
-                hourly[mid, :] = hourly_row
-
-        events = (
-            np.concatenate(row_blocks)
-            if row_blocks
-            else np.empty(0, dtype=EVENT_DTYPE)
-        )
-        metadata = dataset_metadata(config)
+            per_machine.append((rows, hourly_row))
+        metadata = dict(fleet.metadata)
         if quarantined:
             # Only present on degraded runs, so fault-free output bytes
             # are untouched.
             metadata["quarantined_machines"] = quarantined
-        columns = EventColumns(
-            events=events,
-            n_machines=n,
-            span=config.testbed.duration,
-            start_weekday=config.testbed.start_weekday,
-            metadata=metadata,
-            hourly_load=hourly,
+        columns = fleet.assemble(
+            per_machine, keep_hourly_load=keep_hourly_load, metadata=metadata
         )
     if quarantined:
         logger.error(
@@ -256,13 +369,13 @@ def _generate_fleet_columns(
     logger.info(
         "generated %d events over %.0f machine-days",
         len(columns),
-        n * config.testbed.duration / (24 * HOUR),
+        n * fleet.span / DAY,
     )
     return columns
 
 
 def generate_dataset_columns(
-    config: Optional[FgcsConfig] = None,
+    config: Union[FgcsConfig, Fleet, None] = None,
     *,
     keep_hourly_load: bool = True,
     progress: Optional[Callable[[int, int], None]] = None,
@@ -270,25 +383,23 @@ def generate_dataset_columns(
 ) -> EventColumns:
     """Generate the full testbed trace as an object-free column unit.
 
-    Same semantics, caching, and quarantine behavior as
-    :func:`generate_dataset`, but the result is the
-    :class:`~repro.traces.records.EventColumns` table (hourly-load matrix
-    attached) that :func:`repro.traces.io.save_columns` writes directly —
-    no :class:`~repro.core.events.UnavailabilityEvent` objects exist
-    anywhere on this path.  Cache entries are shared with the dataset
-    path: same keys, same on-disk bytes.
+    ``config`` is a stock config or any :class:`Fleet`.  The result is
+    the :class:`~repro.traces.records.EventColumns` table (hourly-load
+    matrix attached) that :func:`repro.traces.io.save_columns` writes
+    directly — no :class:`~repro.core.events.UnavailabilityEvent`
+    objects exist anywhere on this path.  See :func:`generate_dataset`
+    for the parameters, caching and quarantine behavior.
     """
-    config = config or FgcsConfig()
-    execution = execution if execution is not None else config.execution
+    fleet, execution = _fleet_and_execution(config, execution)
     registry = get_registry()
 
     cache = None
     key = None
     if execution.cache_enabled:
-        from ..parallel.cache import DatasetCache, dataset_cache_key
+        from ..parallel.cache import DatasetCache
 
         cache = DatasetCache(execution.cache_dir, fault_plan=execution.fault_plan)
-        key = dataset_cache_key(config, keep_hourly_load=keep_hourly_load)
+        key = fleet.cache_key("dataset", keep_hourly_load)
         with registry.span("generate.cache_lookup"):
             cached = cache.get_columns(key)
         if cached is not None:
@@ -298,7 +409,7 @@ def generate_dataset_columns(
             return cached
 
     columns = _generate_fleet_columns(
-        config,
+        fleet,
         keep_hourly_load=keep_hourly_load,
         progress=progress,
         execution=execution,
@@ -317,7 +428,7 @@ def generate_dataset_columns(
 
 
 def generate_dataset(
-    config: Optional[FgcsConfig] = None,
+    config: Union[FgcsConfig, Fleet, None] = None,
     *,
     keep_hourly_load: bool = True,
     progress: Optional[Callable[[int, int], None]] = None,
@@ -328,7 +439,8 @@ def generate_dataset(
     Parameters
     ----------
     config:
-        Testbed/workload/threshold configuration (paper defaults).
+        Testbed/workload/threshold configuration (paper defaults), or
+        any :class:`Fleet`.
     keep_hourly_load:
         Also record each machine's mean host load per wall-clock hour.
     progress:
@@ -355,34 +467,16 @@ def generate_dataset(
         Events detected from the generated monitor streams — the same
         pipeline the paper ran on live machines.
     """
-    config = config or FgcsConfig()
-    execution = execution if execution is not None else config.execution
-    registry = get_registry()
-
-    cache = None
-    key = None
-    if execution.cache_enabled:
-        from ..parallel.cache import DatasetCache, dataset_cache_key
-
-        cache = DatasetCache(execution.cache_dir, fault_plan=execution.fault_plan)
-        key = dataset_cache_key(config, keep_hourly_load=keep_hourly_load)
-        with registry.span("generate.cache_lookup"):
-            cached = cache.get(key)
-        if cached is not None:
-            logger.info(
-                "dataset cache hit (%s…): %d events", key[:12], len(cached)
-            )
-            return cached
-
-    columns = _generate_fleet_columns(
+    columns = generate_dataset_columns(
         config,
         keep_hourly_load=keep_hourly_load,
         progress=progress,
         execution=execution,
     )
-    # Rows come out (machine_id, start)-sorted and detect_columns enforced
-    # event invariants, so the trusted constructors apply.
-    dataset = TraceDataset.from_validated(
+    # Rows come out (machine_id, start)-sorted, and both detect_columns
+    # and the cache reader enforce the event invariants, so the trusted
+    # constructor applies.
+    return TraceDataset.from_validated(
         columns_to_events(columns.events),
         n_machines=columns.n_machines,
         span=columns.span,
@@ -390,14 +484,3 @@ def generate_dataset(
         hourly_load=columns.hourly_load,
         metadata=columns.metadata,
     )
-    quarantined = columns.metadata.get("quarantined_machines")
-    if cache is not None and key is not None:
-        if quarantined:
-            logger.warning(
-                "not caching partial dataset (%d quarantined machine(s))",
-                len(quarantined),
-            )
-        else:
-            with registry.span("generate.cache_write"):
-                cache.put(key, dataset)
-    return dataset

@@ -22,7 +22,8 @@ machine ids renumbered to shard-local ``0 .. n-1`` — plus one
   manifest records both the per-shard cache keys and the monolithic
   dataset cache key for provenance;
 * **fault-plan-aware** — sharded generation runs through the hardened
-  :mod:`repro.parallel` map (unit keys ``generate.shard:<k>``), so
+  :mod:`repro.parallel` map (unit keys ``generate.shard:<k>``, or
+  ``scenario.shard:<k>`` for a composed scenario), so
   injected or real worker crashes retry per the execution config; a
   shard whose retries are exhausted is quarantined (its machine range
   lands in ``metadata["quarantined_machines"]`` and an event-free
@@ -45,7 +46,7 @@ import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -55,6 +56,9 @@ from ..core.events import UnavailabilityEvent
 from .dataset import TraceDataset
 from .io import SCHEMA_VERSION, TRACE_FORMATS, load_dataset, save_dataset
 from .records import EventColumns, events_to_columns, validate_columns
+
+if TYPE_CHECKING:  # the generator stays out of shard readers' imports
+    from .generate import Fleet
 
 __all__ = [
     "MANIFEST_NAME",
@@ -68,7 +72,6 @@ __all__ = [
     "is_shard_store",
     "open_shards",
     "partition_machines",
-    "shard_cache_key",
     "write_shards",
 ]
 
@@ -218,17 +221,6 @@ def _check_format(fmt: str) -> str:
             f"unknown shard format {fmt!r} (expected one of {TRACE_FORMATS})"
         )
     return fmt
-
-
-def shard_cache_key(
-    config: FgcsConfig, lo: int, hi: int, *, keep_hourly_load: bool = True
-) -> str:
-    """Dataset-cache key for one generated shard of the fleet."""
-    from ..parallel.cache import config_fingerprint
-
-    return config_fingerprint(
-        config, extra=("trace-shard", lo, hi, keep_hourly_load)
-    )
 
 
 @dataclass(frozen=True)
@@ -706,7 +698,7 @@ def convert_shards(
 
 
 def _generate_shard(
-    payload: tuple[FgcsConfig, int, int, int, str, bool, str, bool],
+    payload: tuple["Fleet", ExecutionConfig, int, int, int, str, bool, str, bool],
 ) -> tuple[int, str, Optional[str], Optional[dict]]:
     """Generate one shard and write its file — the parallel work unit.
 
@@ -714,7 +706,7 @@ def _generate_shard(
     in the worker: per-machine generation draws from the same
     global-machine-id random streams as monolithic generation, so the
     shard's events are exactly the monolithic dataset's slice — the
-    columnar worker writes shard-local machine ids directly into the
+    fleet's machine unit writes shard-local machine ids directly into the
     event rows, so no relocation pass or event objects exist here.  When
     the execution config has a cache directory, the shard columns are
     cached under a per-shard key (read and written here, in the worker);
@@ -729,12 +721,12 @@ def _generate_shard(
     disabled parent discards the counts.
     """
     from ..obs.metrics import get_registry
-    from .generate import _generate_machine_columns, dataset_metadata
-    from .records import EVENT_DTYPE, EventColumns
 
-    config, index, lo, hi, out_dir, keep_hourly_load, fmt, count_draws = payload
+    (
+        fleet, execution, index, lo, hi, out_dir, keep_hourly_load, fmt,
+        count_draws,
+    ) = payload
     registry = get_registry()
-    execution = config.execution
     cache = None
     key: Optional[str] = None
     columns = None
@@ -743,43 +735,29 @@ def _generate_shard(
         from ..parallel.cache import DatasetCache
 
         cache = DatasetCache(execution.cache_dir, fault_plan=execution.fault_plan)
-        key = shard_cache_key(config, lo, hi, keep_hourly_load=keep_hourly_load)
+        key = fleet.cache_key("shard", lo, hi, keep_hourly_load)
         with registry.span("shard.cache_lookup"):
             columns = cache.get_columns(key)
     if columns is None:
-        from ..units import HOUR
-
-        n_hours = int(config.testbed.duration // HOUR)
-        row_blocks: list[np.ndarray] = []
-        hourly = np.full((hi - lo, n_hours), np.nan) if keep_hourly_load else None
+        per_machine = []
         telemetry = {"generate.synth_seconds": 0.0, "generate.detect_seconds": 0.0}
         for mid in range(lo, hi):
             rows, hourly_row, counters, synth_seconds, detect_seconds = (
-                _generate_machine_columns(
-                    (config, mid, mid - lo, keep_hourly_load, count_draws)
+                fleet.unit(
+                    (fleet.source, mid, mid - lo, keep_hourly_load, count_draws)
                 )
             )
-            row_blocks.append(rows)
+            per_machine.append((rows, hourly_row))
             telemetry["generate.synth_seconds"] += synth_seconds
             telemetry["generate.detect_seconds"] += detect_seconds
             for name, n in (counters or {}).items():
                 telemetry[name] = telemetry.get(name, 0) + n
-            if hourly is not None and hourly_row is not None:
-                hourly[mid - lo, :] = hourly_row
-        columns = EventColumns(
-            events=(
-                np.concatenate(row_blocks)
-                if row_blocks
-                else np.empty(0, dtype=EVENT_DTYPE)
-            ),
-            n_machines=hi - lo,
-            span=config.testbed.duration,
-            start_weekday=config.testbed.start_weekday,
+        columns = fleet.assemble(
+            per_machine,
+            keep_hourly_load=keep_hourly_load,
             metadata=_shard_metadata(
-                dataset_metadata(config), index, lo, hi,
-                config.testbed.n_machines,
+                fleet.metadata, index, lo, hi, fleet.n_machines
             ),
-            hourly_load=hourly,
         )
         if cache is not None and key is not None:
             with registry.span("shard.cache_write"):
@@ -790,35 +768,8 @@ def _generate_shard(
     return len(columns), _sha256_file(path), key, telemetry
 
 
-def _placeholder_shard(
-    config: FgcsConfig, index: int, lo: int, hi: int, keep_hourly_load: bool
-) -> TraceDataset:
-    """An event-free shard standing in for a quarantined machine range.
-
-    Mirrors monolithic quarantine semantics: the machines' events are
-    missing and their hourly-load rows stay NaN, but the fleet remains
-    tileable so analyses degrade instead of failing.
-    """
-    from ..units import HOUR
-
-    from .generate import dataset_metadata
-
-    n_hours = int(config.testbed.duration // HOUR)
-    hourly = np.full((hi - lo, n_hours), np.nan) if keep_hourly_load else None
-    return TraceDataset(
-        events=[],
-        n_machines=hi - lo,
-        span=config.testbed.duration,
-        start_weekday=config.testbed.start_weekday,
-        hourly_load=hourly,
-        metadata=_shard_metadata(
-            dataset_metadata(config), index, lo, hi, config.testbed.n_machines
-        ),
-    )
-
-
 def generate_shards(
-    config: Optional[FgcsConfig],
+    config: Union[FgcsConfig, "Fleet", None],
     out_dir: Union[str, Path],
     n_shards: int,
     *,
@@ -829,9 +780,11 @@ def generate_shards(
 ) -> ShardManifest:
     """Generate a fleet directly into a shard directory.
 
-    Each shard is one parallel work unit (unit keys
-    ``generate.shard:<index>``): the worker generates its machine range —
-    drawing from the same per-machine random streams as
+    ``config`` is a stock config or any
+    :class:`~repro.traces.generate.Fleet`.  Each shard is one parallel
+    work unit (unit keys ``<site>.shard:<index>``, ``generate.shard`` for
+    a stock config): the worker generates its machine range — drawing
+    from the same per-machine random streams as
     :func:`~repro.traces.generate.generate_dataset`, so outputs are
     bit-identical to splitting a monolithic generation — writes the shard
     file atomically, and returns its event count and content
@@ -846,19 +799,16 @@ def generate_shards(
     from ..faults import QUARANTINED
     from ..obs.metrics import get_registry
     from ..parallel.backend import get_backend
-    from ..parallel.cache import config_fingerprint, dataset_cache_key
-    from .generate import dataset_metadata
+    from ..units import DAY
+    from .generate import _fleet_and_execution
 
     _check_format(format)
-    config = config or FgcsConfig()
-    execution = execution if execution is not None else config.execution
-    if execution is not config.execution:
-        config = config.with_execution(execution)
+    fleet, execution = _fleet_and_execution(config, execution)
     registry = get_registry()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    ranges = partition_machines(config.testbed.n_machines, n_shards)
+    ranges = partition_machines(fleet.n_machines, n_shards)
     if len(ranges) != n_shards:
         logger.warning(
             "clamping n_shards from %d to %d (one machine per shard minimum)",
@@ -868,17 +818,17 @@ def generate_shards(
     logger.info(
         "generating sharded fleet: %d machines × %d days in %d shard(s) "
         "(seed %d, jobs=%d)",
-        config.testbed.n_machines,
-        config.testbed.n_days,
+        fleet.n_machines,
+        fleet.span // DAY,
         len(ranges),
-        config.seed,
+        fleet.metadata["seed"],
         execution.jobs,
     )
     backend = get_backend(execution)
-    faults = execution.fault_context("generate.shard", quarantine=True)
+    faults = execution.fault_context(f"{fleet.site}.shard", quarantine=True)
     payloads = [
-        (config, index, lo, hi, str(out_dir), keep_hourly_load, format,
-         registry.enabled)
+        (fleet, execution, index, lo, hi, str(out_dir), keep_hourly_load,
+         format, registry.enabled)
         for index, (lo, hi) in enumerate(ranges)
     ]
     with registry.span("generate.shards"):
@@ -890,12 +840,18 @@ def generate_shards(
     quarantined: list[int] = []
     for index, ((lo, hi), result) in enumerate(zip(ranges, results)):
         if result is QUARANTINED:
+            # An event-free placeholder with NaN hourly rows, so the
+            # fleet stays tileable and analyses degrade instead of failing.
             quarantined.extend(range(lo, hi))
-            placeholder = _placeholder_shard(
-                config, index, lo, hi, keep_hourly_load
+            placeholder = fleet.assemble(
+                [None] * (hi - lo),
+                keep_hourly_load=keep_hourly_load,
+                metadata=_shard_metadata(
+                    fleet.metadata, index, lo, hi, fleet.n_machines
+                ),
             )
             path = out_dir / _shard_name(index, format)
-            _atomic_save(placeholder, path, format)
+            _atomic_save_columns(placeholder, path, format)
             n_events, digest, key = 0, _sha256_file(path), None
         else:
             n_events, digest, key, telemetry = result
@@ -920,7 +876,7 @@ def generate_shards(
             )
         )
 
-    metadata = dataset_metadata(config)
+    metadata = dict(fleet.metadata)
     if quarantined:
         metadata["quarantined_machines"] = quarantined
         logger.error(
@@ -929,15 +885,13 @@ def generate_shards(
             quarantined,
         )
     manifest = ShardManifest(
-        n_machines=config.testbed.n_machines,
-        span=config.testbed.duration,
-        start_weekday=config.testbed.start_weekday,
+        n_machines=fleet.n_machines,
+        span=fleet.span,
+        start_weekday=fleet.start_weekday,
         shards=tuple(infos),
         metadata=metadata,
-        config_fingerprint=config_fingerprint(config),
-        dataset_cache_key=dataset_cache_key(
-            config, keep_hourly_load=keep_hourly_load
-        ),
+        config_fingerprint=fleet.fingerprint,
+        dataset_cache_key=fleet.cache_key("dataset", keep_hourly_load),
     )
     manifest.save(out_dir)
     registry.record(

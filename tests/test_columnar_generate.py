@@ -23,7 +23,7 @@ from repro.config import ExecutionConfig, FgcsConfig, TestbedConfig
 from repro.core.detector import BatchDetector
 from repro.core.samples import SampleBatch
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION
-from repro.parallel.cache import DatasetCache, dataset_cache_key
+from repro.parallel.cache import dataset_cache_key
 from repro.rng import CountingRng, RngFactory
 from repro.traces import (
     generate_dataset,
@@ -313,24 +313,24 @@ class TestGoldenByteIdentity:
 
 
 class TestCacheInterchange:
-    def test_columns_entry_read_as_dataset_and_back(self, tmp_path):
+    def test_dataset_and_columns_paths_share_one_entry(self, tmp_path):
+        from repro.obs import MetricsRegistry, use_registry
+
         config = _tiny_config(machines=2, days=5)
+        execution = ExecutionConfig(cache_dir=str(tmp_path))
+        dataset = generate_dataset(config, execution=execution)
         key = dataset_cache_key(config, keep_hourly_load=True)
-        cache = DatasetCache(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.bin"]
 
-        columns = generate_dataset_columns(config)
-        cache.put_columns(key, columns)
-        via_dataset = cache.get(key)
-        assert via_dataset is not None
-        assert via_dataset.equals(columns.to_dataset())
-
-        cache2 = DatasetCache(tmp_path / "other")
-        cache2.put(key, via_dataset)
-        via_columns = cache2.get_columns(key)
-        assert via_columns is not None
-        assert via_columns.events.tobytes() == columns.events.tobytes()
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            columns = generate_dataset_columns(config, execution=execution)
+        assert registry.snapshot()["counters"]["cache.hit"] == 1
+        assert columns.to_dataset().equals(dataset)
+        fresh = generate_dataset_columns(config)
+        assert columns.events.tobytes() == fresh.events.tobytes()
         assert np.array_equal(
-            via_columns.hourly_load, columns.hourly_load, equal_nan=True
+            columns.hourly_load, fresh.hourly_load, equal_nan=True
         )
 
 

@@ -13,7 +13,9 @@ this holds while ``from repro import generate_dataset`` keeps working.
 A generating process loads no ``scipy.signal`` either: the load model's
 AR(1) filter calls scipy's compiled kernel directly
 (:mod:`repro.workloads.iir`), which spares every generate worker and
-shard unit the ~78 MiB that package import costs.
+shard unit the ~78 MiB that package import costs.  And a stock
+generating process loads no ``repro.scenarios``: scenarios run the
+stock fleet code, never the other way round.
 """
 
 from __future__ import annotations
@@ -130,10 +132,44 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 
 
+_STOCK_GENERATE = """
+import dataclasses, json, sys
+import repro.traces.shards
+assert "repro.traces.generate" not in sys.modules, "shards imports the generator"
+from repro.config import ExecutionConfig, FgcsConfig, TestbedConfig
+from repro.traces.shards import generate_shards
+from repro.units import DAY
+
+config = dataclasses.replace(
+    FgcsConfig(), testbed=TestbedConfig(n_machines=4, duration=7 * DAY), seed=42
+)
+generate_shards(config, sys.argv[1], 2, execution=ExecutionConfig(jobs=1))
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_stock_generation_loads_no_scenario_layer(tmp_path):
+    # The generator that scenarios share stays below them, so a stock run
+    # never pays for importing the scenario layer; and serve processes,
+    # which import the shard reader, still load no generator.
+    proc = subprocess.run(
+        [sys.executable, "-c", _STOCK_GENERATE, str(tmp_path / "fleet")],
+        capture_output=True,
+        text=True,
+        env=_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout)
+    assert "repro.traces.generate" in modules
+    assert [m for m in modules if m.split(".")[:2] == ["repro", "scenarios"]] == []
+    assert (tmp_path / "fleet" / "manifest.json").is_file()
+
+
 @pytest.mark.parametrize("scenario", ["student-lab-baseline", "flash-crowd"])
 def test_generating_process_never_imports_scipy_signal(scenario, tmp_path):
     # jobs=1 runs the same unit function a pool worker runs.  The plain
-    # baseline takes generate_shards, flash-crowd the scenario units.
+    # baseline runs the stock machine unit, flash-crowd the scenario one.
     proc = subprocess.run(
         [sys.executable, "-c", _GENERATE, scenario, str(tmp_path / "fleet")],
         capture_output=True,

@@ -90,7 +90,7 @@ class TestCacheCounters:
     def test_direct_get_on_absent_key_counts_miss(self, tmp_path):
         reg = MetricsRegistry()
         with use_registry(reg):
-            assert DatasetCache(tmp_path).get("0" * 64) is None
+            assert DatasetCache(tmp_path).get_columns("0" * 64) is None
         assert reg.counter_value("cache.miss") == 1
 
 

@@ -104,10 +104,12 @@ class TestDatasetCache:
     def test_hit_actually_reads_the_cache(self, cfg, tmp_path):
         """Plant a sentinel in the stored entry; a hit must surface it."""
         execution = ExecutionConfig(cache_dir=str(tmp_path))
-        dataset = generate_dataset(cfg, execution=execution)
+        generate_dataset(cfg, execution=execution)
         key = dataset_cache_key(cfg, keep_hourly_load=True)
-        dataset.metadata["sentinel"] = "from-cache"
-        DatasetCache(tmp_path).put(key, dataset)
+        cache = DatasetCache(tmp_path)
+        columns = cache.get_columns(key)
+        columns.metadata["sentinel"] = "from-cache"
+        cache.put_columns(key, columns)
         again = generate_dataset(cfg, execution=execution)
         assert again.metadata.get("sentinel") == "from-cache"
 
@@ -139,7 +141,7 @@ class TestDatasetCache:
         assert fresh.equals(recovered)
 
     def test_get_on_missing_key_is_none(self, tmp_path):
-        assert DatasetCache(tmp_path).get("0" * 64) is None
+        assert DatasetCache(tmp_path).get_columns("0" * 64) is None
 
     def test_different_config_different_entry(self, cfg, tmp_path):
         execution = ExecutionConfig(cache_dir=str(tmp_path))
@@ -154,25 +156,6 @@ class TestDatasetCache:
         (path,) = tmp_path.iterdir()
         assert path.suffix == ".bin"
         assert is_binary_trace(path)
-
-    def test_stale_v1_entry_evicted(self, cfg, tmp_path):
-        """A v1-layout (jsonl) entry under the same key is evicted on
-        lookup — never served, never left to shadow the binary entry."""
-        from repro.obs import MetricsRegistry, use_registry
-
-        execution = ExecutionConfig(cache_dir=str(tmp_path))
-        fresh = generate_dataset(cfg, execution=execution)
-        key = dataset_cache_key(cfg, keep_hourly_load=True)
-        legacy = tmp_path / f"{key}.jsonl"
-        legacy.write_text("v1 layout leftovers", encoding="utf-8")
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            again = generate_dataset(cfg, execution=execution)
-        assert again.equals(fresh)
-        assert not legacy.exists()
-        counters = registry.snapshot()["counters"]
-        assert counters["cache.stale_evicted"] == 1
-        assert counters["cache.hit"] == 1
 
 
 class TestConcurrentEviction:
@@ -194,27 +177,27 @@ class TestConcurrentEviction:
         good_blob = path.read_bytes()
         path.write_text("garbage", encoding="utf-8")
 
-        real_load = cache_mod.load_dataset
+        real_open = cache_mod.open_columns
 
-        def load_then_lose_race(p):
+        def open_then_lose_race(p, **kwargs):
             # The corrupt read fails; before the eviction runs, a
             # concurrent writer replaces the entry with a good one.
             try:
-                return real_load(p)
+                return real_open(p, **kwargs)
             except Exception:
                 tmp = path.with_name("replacement.tmp")
                 tmp.write_bytes(good_blob)
                 os.replace(tmp, path)
                 raise
 
-        monkeypatch.setattr(cache_mod, "load_dataset", load_then_lose_race)
-        assert cache.get(key) is None  # the corrupt read is still a miss
-        monkeypatch.setattr(cache_mod, "load_dataset", real_load)
+        monkeypatch.setattr(cache_mod, "open_columns", open_then_lose_race)
+        assert cache.get_columns(key) is None  # the corrupt read is still a miss
+        monkeypatch.setattr(cache_mod, "open_columns", real_open)
         # The concurrently written good entry survived the eviction and
         # is served to the next reader.
         assert path.read_bytes() == good_blob
-        served = cache.get(key)
-        assert served is not None and served.equals(fresh)
+        served = cache.get_columns(key)
+        assert served is not None and served.to_dataset().equals(fresh)
 
     def test_corrupt_entry_still_evicted_without_race(self, cfg, tmp_path):
         execution = ExecutionConfig(cache_dir=str(tmp_path))
@@ -223,7 +206,7 @@ class TestConcurrentEviction:
         cache = DatasetCache(tmp_path)
         path = cache.path_for(key)
         path.write_text("garbage", encoding="utf-8")
-        assert cache.get(key) is None
+        assert cache.get_columns(key) is None
         assert not path.exists()
 
     def test_concurrent_readers_never_propagate_garbage(self, cfg, tmp_path):
@@ -259,10 +242,10 @@ class TestConcurrentEviction:
             counts.add(out.strip())
         assert counts == {str(len(fresh.events))}
         # The entry left behind is readable again.
-        recovered = DatasetCache(tmp_path).get(
+        recovered = DatasetCache(tmp_path).get_columns(
             dataset_cache_key(cfg, keep_hourly_load=True)
         )
-        assert recovered is not None and recovered.equals(fresh)
+        assert recovered is not None and recovered.to_dataset().equals(fresh)
 
 
 class TestFaultPlanInjection:

@@ -364,11 +364,9 @@ class TestSnapshots:
 class TestStdinIngest:
     """``serve --stdin`` feeds the same ingest path as ``POST /v1/ingest``."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_stdin_lines_join_the_http_ordering(self, tmp_path, workers):
-        # HTTP t=100 (flushed), then stdin t=500, both for machine 0.
-        # The queue's tail must see the stdin event: an HTTP batch at
-        # t=300 is then out of order, and resending t=500 is a duplicate.
+    @staticmethod
+    def _serve(tmp_path, workers: int, *extra: str):
+        """A ``serve --stdin`` daemon over a 4-machine store, and its URL."""
         config = dataclasses.replace(
             FgcsConfig(),
             testbed=TestbedConfig(n_machines=4, duration=7 * DAY),
@@ -381,7 +379,7 @@ class TestStdinIngest:
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", str(root),
-             "--workers", str(workers), "--stdin"],
+             "--workers", str(workers), "--stdin", *extra],
             stdin=subprocess.PIPE,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
@@ -389,32 +387,55 @@ class TestStdinIngest:
             text=True,
             start_new_session=True,
         )
+        banner = ""
+        while " on http://" not in banner:
+            line = proc.stderr.readline()
+            if not line:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait(timeout=60)
+                proc.stderr.close()
+                raise AssertionError(f"daemon did not start: {banner!r}")
+            banner += line
+        return proc, banner.split(" on ", 1)[1].split()[0]
 
-        def at(start: float) -> dict:
-            return {"machine_id": 0, "start": start, "end": start + 60.0,
-                    "state": 3}
+    @staticmethod
+    def _stop(proc) -> None:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=60)
+        proc.stderr.close()
 
-        def streamed(client: ServeClient) -> int:
-            stats = client.stats()
-            return stats.get("totals", stats.get("ingest"))["streamed_events"]
+    @staticmethod
+    def _at(start: float) -> dict:
+        return {"machine_id": 0, "start": start, "end": start + 60.0,
+                "state": 3}
 
+    @staticmethod
+    def _streamed(client: ServeClient) -> int:
+        stats = client.stats()
+        return stats.get("totals", stats.get("ingest"))["streamed_events"]
+
+    def _await_streamed(self, client: ServeClient, n: int) -> None:
+        deadline = time.monotonic() + 20.0
+        while self._streamed(client) < n:
+            assert time.monotonic() < deadline, "stdin line not applied"
+            time.sleep(0.05)
+            client.flush()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stdin_lines_join_the_http_ordering(self, tmp_path, workers):
+        # HTTP t=100 (flushed), then stdin t=500, both for machine 0.
+        # The queue's tail must see the stdin event: an HTTP batch at
+        # t=300 is then out of order, and resending t=500 is a duplicate.
+        at = self._at
+        proc, url = self._serve(tmp_path, workers)
         try:
-            banner = ""
-            while " on http://" not in banner:
-                line = proc.stderr.readline()
-                assert line, f"daemon did not start: {banner!r}"
-                banner += line
-            url = banner.split(" on ", 1)[1].split()[0]
             with ServeClient(url) as client:
                 assert client.ingest([at(100.0)])["accepted"] == 1
                 client.flush()
                 proc.stdin.write(json.dumps(at(500.0)) + "\n")
                 proc.stdin.flush()
-                deadline = time.monotonic() + 20.0
-                while streamed(client) < 2:
-                    assert time.monotonic() < deadline, "stdin line not applied"
-                    time.sleep(0.05)
-                    client.flush()
+                self._await_streamed(client, 2)
                 status, payload = client.request_raw(
                     "POST", "/v1/ingest", json.dumps([at(300.0)]).encode()
                 )
@@ -422,12 +443,33 @@ class TestStdinIngest:
                 resent = client.ingest([at(500.0)])
                 assert (resent["accepted"], resent["deduplicated"]) == (0, 1)
                 client.flush()
-                assert streamed(client) == 2
+                assert self._streamed(client) == 2
                 proc.stdin.close()
                 client.shutdown()
             assert proc.wait(timeout=60) == 0
         finally:
-            if proc.poll() is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait(timeout=60)
-            proc.stderr.close()
+            self._stop(proc)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shutdown_ends_the_daemon_while_stdin_stays_open(
+        self, tmp_path, workers
+    ):
+        # A feeder that never closes its end of the pipe must not keep
+        # the daemon alive past POST /v1/shutdown, nor cost it its
+        # manifest.
+        manifest = tmp_path / "serve.json"
+        proc, url = self._serve(
+            tmp_path, workers, "--metrics-out", str(manifest)
+        )
+        try:
+            with ServeClient(url) as client:
+                proc.stdin.write(json.dumps(self._at(500.0)) + "\n")
+                proc.stdin.flush()
+                self._await_streamed(client, 1)
+                client.shutdown()
+            assert proc.wait(timeout=5) == 0
+            serve = json.loads(manifest.read_text())["serve"]
+            totals = serve.get("totals", serve.get("ingest"))
+            assert totals["streamed_events"] == 1
+        finally:
+            self._stop(proc)
