@@ -1,7 +1,8 @@
 # Convenience targets for the FGCS reproduction.
 
 .PHONY: install test tier1 bench artifacts report serve-smoke \
-        scenarios-smoke fleet-smoke clean
+        scenarios-smoke fleet-smoke pool-smoke telemetry-smoke chaos-smoke \
+        clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -79,9 +80,37 @@ fleet-smoke:
 	    tests/test_analysis_edgecases.py
 	sh benchmarks/fleet_smoke.sh fleet-smoke-out
 
+# A tiny trace generated through the process pool twice with one cache:
+# the second run hits the cache and writes byte-identical output (in
+# pool-smoke-out/).
+pool-smoke:
+	rm -rf pool-smoke-out
+	mkdir -p pool-smoke-out
+	PYTHONPATH=src python -m repro.cli generate pool-smoke-out/smoke.jsonl \
+	    --machines 2 --days 2 --jobs 2 --cache-dir pool-smoke-out/.fgcs-cache
+	test -s pool-smoke-out/smoke.jsonl
+	PYTHONPATH=src python -m repro.cli generate pool-smoke-out/smoke2.jsonl \
+	    --machines 2 --days 2 --jobs 2 --cache-dir pool-smoke-out/.fgcs-cache
+	cmp pool-smoke-out/smoke.jsonl pool-smoke-out/smoke2.jsonl
+
+# benchmarks/telemetry_smoke.sh: analyze a tiny trace with telemetry on
+# and check its run manifest (in telemetry-smoke-out/).
+telemetry-smoke:
+	sh benchmarks/telemetry_smoke.sh telemetry-smoke-out
+
+# The chaos and golden-figure suites, then benchmarks/chaos_smoke.sh: a
+# clean and a fault-injected generation must write byte-identical JSONL
+# traces, and the chaotic run's manifest must account for every fault
+# (in chaos-smoke-out/).
+chaos-smoke:
+	PYTHONPATH=src python -m pytest -x -q --durations=10 \
+	    tests/test_chaos.py tests/test_goldens.py
+	sh benchmarks/chaos_smoke.sh chaos-smoke-out
+
 clean:
 	rm -rf benchmarks/out .pytest_cache .hypothesis .benchmarks \
 	       report_out test_output.txt bench_output.txt serve-fleet \
 	       serve-manifest.json serve-scale-manifest.json \
-	       scenario-smoke-out fleet-smoke-out
+	       scenario-smoke-out fleet-smoke-out pool-smoke-out \
+	       telemetry-smoke-out chaos-smoke-out
 	find . -name __pycache__ -type d -exec rm -rf {} +

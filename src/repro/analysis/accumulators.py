@@ -5,12 +5,21 @@ interval-length CDFs, the Figure 7 hourly occurrence histogram, and the
 interval summary statistics — can be computed shard-by-shard: each
 accumulator supports
 
-* ``update(shard_dataset, ...)`` — fold one shard's events in;
+* ``update_columns(shard_columns, ...)`` (or ``update_hours`` with the
+  shard's :func:`interval_columns`) — fold one shard's
+  :class:`~repro.traces.records.EventColumns` in, with no per-event
+  objects;
 * ``merge(other)`` — combine two partial accumulators;
 * ``finalize()`` — produce the analysis result object.
 
 so a fleet far too large to hold in memory is analyzed one shard at a
-time (constant memory) or reduced across workers.
+time (constant memory) or reduced across workers.  Every shard folds
+this one way, whether it is a binary or JSONL shard file or a virtual
+shard of a loaded trace; the reference the folds must equal is the
+monolithic analysis over event objects
+(:func:`repro.core.intervals.availability_intervals`,
+:func:`~repro.analysis.causes.cause_breakdown`,
+:func:`~repro.analysis.daily.daily_pattern`).
 
 Exactness contract
 ------------------
@@ -47,11 +56,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import ReproError
-from ..traces.dataset import TraceDataset
 from ..traces.records import EventColumns
 from ..units import DAY, HOUR, MINUTE
 from .causes import CauseBreakdown
-from .daily import DailyPattern, daily_pattern
+from .daily import DailyPattern
 
 __all__ = [
     "FIG6_GRID",
@@ -122,32 +130,13 @@ class CauseAccumulator:
         self.revocation = np.zeros(n_machines, dtype=np.int64)
         self.reboots = np.zeros(n_machines, dtype=np.int64)
 
-    def update(self, dataset: TraceDataset, machine_lo: int = 0) -> None:
-        """Fold in one shard whose machine 0 is fleet machine ``machine_lo``."""
-        from ..core.states import AvailState
-
-        if machine_lo < 0 or machine_lo + dataset.n_machines > self.n_machines:
-            raise ReproError(
-                f"shard range [{machine_lo}, "
-                f"{machine_lo + dataset.n_machines}) outside fleet "
-                f"[0, {self.n_machines})"
-            )
-        for e in dataset.events:
-            mid = e.machine_id + machine_lo
-            if e.state is AvailState.S3:
-                self.cpu[mid] += 1
-            elif e.state is AvailState.S4:
-                self.memory[mid] += 1
-            else:
-                self.revocation[mid] += 1
-                if e.is_reboot:
-                    self.reboots[mid] += 1
-
     def update_columns(self, cols: EventColumns, machine_lo: int = 0) -> None:
-        """Column-native :meth:`update`: bincounts over the state codes.
+        """Fold in one shard whose machine 0 is fleet machine ``machine_lo``:
+        bincounts over the state codes.
 
-        Bit-identical to the event-object fold — every statistic here is
-        an integer count and integer addition commutes.
+        Bit-identical to :func:`~repro.analysis.causes.cause_breakdown` —
+        every statistic here is an integer count and integer addition
+        commutes.
         """
         from ..core.events import REBOOT_MAX_DURATION
 
@@ -329,24 +318,12 @@ class IntervalCdfAccumulator:
         self._weekday = _SideCounts(self.grid.size)
         self._weekend = _SideCounts(self.grid.size)
 
-    def update(self, dataset: TraceDataset) -> None:
-        """Fold in one shard's availability intervals (censored excluded)."""
-        weekday, weekend = [], []
-        for iv in dataset.all_intervals(include_censored=False):
-            hours = iv.length / HOUR
-            if dataset.is_weekend_time(iv.start):
-                weekend.append(hours)
-            else:
-                weekday.append(hours)
-        self._weekday.add(np.asarray(weekday, dtype=float), self.grid)
-        self._weekend.add(np.asarray(weekend, dtype=float), self.grid)
-
     def update_hours(self, hours: np.ndarray, weekend: np.ndarray) -> None:
-        """Fold in precomputed interval lengths (see :func:`interval_columns`).
+        """Fold in one shard's interval lengths (see :func:`interval_columns`).
 
-        ``hours`` must be in the :meth:`update` emission order (machines
-        ascending, intervals time-ordered within a machine) so the
-        float-summed side totals reproduce the object fold bit-for-bit.
+        ``hours`` must be in ``TraceDataset.all_intervals`` order
+        (machines ascending, intervals time-ordered within a machine) so
+        the float-summed side totals repeat the monolithic arithmetic.
         """
         self._weekday.add(hours[~weekend], self.grid)
         self._weekend.add(hours[weekend], self.grid)
@@ -399,25 +376,15 @@ class DailyPatternAccumulator:
         self.start_weekday = start_weekday
         self.counts = np.zeros((n_days, 24), dtype=np.int64)
 
-    def update(self, dataset: TraceDataset) -> None:
-        if (
-            dataset.n_days != self.n_days
-            or dataset.start_weekday != self.start_weekday
-        ):
-            raise ReproError(
-                "shard span/start_weekday disagrees with the accumulator"
-            )
-        self.counts += daily_pattern(dataset).counts
-
     def update_columns(self, cols: EventColumns) -> None:
-        """Column-native :meth:`update` via a difference-array sweep.
+        """Fold in one shard via a difference-array sweep.
 
         An event overlapping wall-clock hours ``[first, last]`` adds one
         to each cell — contiguous on the flattened ``(day, hour)`` grid,
         so all events become +1/-1 boundary marks and one ``cumsum``.
         The hour indices use the same float arithmetic as
         :func:`repro.analysis.daily.daily_pattern`, and the counts are
-        integers, so the result is bit-identical to the event fold.
+        integers, so the result is bit-identical to it.
         """
         if cols.n_days != self.n_days or cols.start_weekday != self.start_weekday:
             raise ReproError(
@@ -482,30 +449,12 @@ class SummaryAccumulator:
         self.minimum = float("inf")
         self.maximum = float("-inf")
 
-    def update(self, dataset: TraceDataset) -> None:
-        values = np.asarray(
-            [
-                iv.length / HOUR
-                for iv in dataset.all_intervals(include_censored=False)
-            ],
-            dtype=float,
-        )
-        if values.size == 0:
-            return
-        other = SummaryAccumulator()
-        other.n = int(values.size)
-        other.mean = float(values.mean())
-        other.m2 = float(((values - other.mean) ** 2).sum())
-        other.minimum = float(values.min())
-        other.maximum = float(values.max())
-        self.merge(other)
-
     def update_hours(self, hours: np.ndarray) -> None:
-        """Fold in precomputed interval lengths (see :func:`interval_columns`).
+        """Fold in one shard's interval lengths (see :func:`interval_columns`).
 
-        ``hours`` must be in :meth:`update`'s emission order — the
+        ``hours`` must be in ``TraceDataset.all_intervals`` order — the
         per-shard mean/M2 are float reductions over the same array, so
-        the Chan merge sees identical partials.
+        the Chan merge sees the partials the monolithic order gives.
         """
         if hours.size == 0:
             return
@@ -557,8 +506,8 @@ def interval_columns(cols: EventColumns) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(hours, is_weekend)`` in exactly the order
     ``TraceDataset.all_intervals(include_censored=False)`` yields —
     machines ascending, intervals time-ordered within each machine — and
-    with the identical float arithmetic, so the interval accumulators'
-    float sums are bit-identical to the event-object fold.
+    with its float arithmetic: each length is ``iv.length / HOUR`` bit for
+    bit and each weekend flag ``is_weekend_time(iv.start)``.
 
     Mirrors :func:`repro.core.intervals.availability_intervals` per
     machine: an interval opens at the running maximum of clipped event
@@ -637,24 +586,14 @@ class FleetAccumulator:
         """Sized for any object with n_machines/span/start_weekday."""
         return cls(fleet.n_machines, fleet.span, fleet.start_weekday)
 
-    def update(self, dataset: TraceDataset, machine_lo: int = 0) -> None:
-        """Fold in one shard (local machine ids; fleet offset given)."""
-        if dataset.span != self.span:
-            raise ReproError("shard span disagrees with the fleet accumulator")
-        self.causes.update(dataset, machine_lo)
-        self.intervals.update(dataset)
-        self.daily.update(dataset)
-        self.summary.update(dataset)
-
     def update_columns(self, cols: EventColumns, machine_lo: int = 0) -> None:
-        """Column-native :meth:`update`: fold a shard straight from its
-        (possibly memory-mapped) event columns.
+        """Fold in one shard (local machine ids; fleet offset given)
+        straight from its (possibly memory-mapped) event columns.
 
-        No per-event objects are materialized; results are bit-identical
-        to :meth:`update` on the same shard (integer statistics exactly,
-        float sums by identical arithmetic and order).  The availability
-        intervals are derived once and shared by the CDF and summary
-        accumulators.
+        No per-event objects are materialized; integer statistics equal
+        the monolithic analysis exactly, and interval lengths repeat its
+        float arithmetic in its order.  The availability intervals are
+        derived once and shared by the CDF and summary accumulators.
         """
         if cols.span != self.span:
             raise ReproError("shard span disagrees with the fleet accumulator")

@@ -1,26 +1,27 @@
 """Drivers that run the mergeable accumulators over sharded fleets.
 
-Two entry points:
+Every shard folds one way: its :class:`~repro.traces.records.EventColumns`
+go through
+:meth:`~repro.analysis.accumulators.FleetAccumulator.update_columns`,
+with no per-event objects.  Two entry points:
 
 * :func:`analyze_shards` — stream an on-disk
-  :class:`~repro.traces.shards.ShardedTraceDataset` one shard at a time.
-  With ``jobs=1`` this is a serial fold holding a single shard in memory
+  :class:`~repro.traces.shards.ShardedTraceDataset` one shard at a time
+  (:meth:`~repro.traces.shards.ShardedTraceDataset.shard_columns`:
+  memory-mapped for binary shards, parsed for JSONL ones).  With
+  ``jobs=1`` this is a serial fold holding a single shard in memory
   (the constant-memory path the fleet-scaling bench asserts); with
   ``jobs>1`` each worker accumulates one shard and the parent merges the
   partial accumulators **in shard order**, so the result is identical
-  for every ``jobs`` value (each shard receives exactly one ``update``,
-  and an in-order merge replays the serial fold's float-addition order).
-  Binary shards fold straight from their memory-mapped column arrays
-  (:meth:`~repro.traces.shards.ShardedTraceDataset.shard_columns` +
-  :meth:`~repro.analysis.accumulators.FleetAccumulator.update_columns`)
-  without materializing a single event object; results are bit-identical
-  to the JSONL object path.
+  for every ``jobs`` value (each shard is folded exactly once, and an
+  in-order merge replays the serial fold's float-addition order).
 * :func:`analyze_dataset_streaming` — the same fold over *virtual*
-  shards of an in-memory dataset.  Memory is already bounded by the
-  loaded dataset; the value is differential testing — the fold walks the
-  exact accumulator code path the sharded analysis uses, over the same
+  shards of an in-memory dataset: column slices
+  (:meth:`~repro.traces.records.EventColumns.slice_machines`) over the
   machine partition :func:`repro.traces.shards.partition_machines`
-  produces.
+  produces.  Memory is already bounded by the loaded dataset; the value
+  is differential testing — the fold walks the exact accumulator code
+  path the sharded analysis uses.
 
 Both return a :class:`~repro.analysis.accumulators.FleetAnalysis`; see
 :mod:`repro.analysis.accumulators` for the exactness contract vs the
@@ -30,14 +31,12 @@ monolithic single-pass analyses.
 from __future__ import annotations
 
 import logging
-from typing import Callable, Iterator, Optional, Union
-
-import numpy as np
+from typing import Callable, Optional, Union
 
 from ..config import ExecutionConfig
-from ..core.events import UnavailabilityEvent
 from ..obs.metrics import get_registry
 from ..traces.dataset import TraceDataset
+from ..traces.records import EventColumns
 from ..traces.shards import (
     ShardedTraceDataset,
     open_shards,
@@ -46,71 +45,30 @@ from ..traces.shards import (
 
 from .accumulators import FleetAccumulator, FleetAnalysis
 
-__all__ = ["analyze_dataset_streaming", "analyze_shards", "iter_virtual_shards"]
+__all__ = ["analyze_dataset_streaming", "analyze_shards"]
 
 logger = logging.getLogger(__name__)
 
 ProgressFn = Callable[[int, int], None]
 
 
-def iter_virtual_shards(
-    dataset: TraceDataset, n_shards: Optional[int] = None
-) -> Iterator[tuple[int, TraceDataset]]:
-    """Yield ``(machine_lo, shard)`` views partitioning an in-memory fleet.
-
-    The partition is the on-disk one
-    (:func:`repro.traces.shards.partition_machines`); ``n_shards``
-    defaults to one shard per machine.  Events are sorted by
-    ``(machine_id, start)``, so each shard is a contiguous slice located
-    with two binary searches — O(events) total across all shards.
-    """
-    n = dataset.n_machines
-    k = n if n_shards is None else n_shards
-    mids = np.fromiter(
-        (e.machine_id for e in dataset.events),
-        dtype=np.int64,
-        count=len(dataset.events),
-    )
-    for lo, hi in partition_machines(n, k):
-        a = int(np.searchsorted(mids, lo, side="left"))
-        b = int(np.searchsorted(mids, hi, side="left"))
-        events = [
-            UnavailabilityEvent(
-                machine_id=e.machine_id - lo,
-                start=e.start,
-                end=e.end,
-                state=e.state,
-                mean_host_load=e.mean_host_load,
-                mean_free_mb=e.mean_free_mb,
-            )
-            for e in dataset.events[a:b]
-        ]
-        hourly = None
-        if dataset.hourly_load is not None:
-            hourly = dataset.hourly_load[lo:hi]
-        yield lo, TraceDataset(
-            events=events,
-            n_machines=hi - lo,
-            span=dataset.span,
-            start_weekday=dataset.start_weekday,
-            hourly_load=hourly,
-            metadata=dict(dataset.metadata),
-        )
-
-
 def analyze_dataset_streaming(
     dataset: TraceDataset, n_shards: Optional[int] = None
 ) -> FleetAnalysis:
-    """Run the accumulator fold over virtual shards of a loaded dataset."""
-    acc = FleetAccumulator.for_fleet(dataset)
-    count = 0
-    for lo, shard in iter_virtual_shards(dataset, n_shards):
-        acc.update(shard, lo)
-        count += 1
+    """Run the accumulator fold over virtual shards of a loaded dataset.
+
+    The partition is the on-disk one
+    (:func:`repro.traces.shards.partition_machines`); ``n_shards``
+    defaults to one shard per machine.
+    """
+    columns = EventColumns.from_dataset(dataset)
+    acc = FleetAccumulator.for_fleet(columns)
+    n = columns.n_machines
+    ranges = partition_machines(n, n if n_shards is None else n_shards)
+    for lo, hi in ranges:
+        acc.update_columns(columns.slice_machines(lo, hi), lo)
     logger.info(
-        "streamed %d machine(s) through %d virtual shard(s)",
-        dataset.n_machines,
-        count,
+        "streamed %d machine(s) through %d virtual shard(s)", n, len(ranges)
     )
     return acc.finalize()
 
@@ -118,17 +76,9 @@ def analyze_dataset_streaming(
 def _fold_shard(
     acc: FleetAccumulator, sharded: ShardedTraceDataset, index: int
 ) -> None:
-    """Fold shard ``index`` into ``acc`` via its format's natural path.
-
-    Binary shards go through the zero-copy column fold; JSONL shards
-    through the event-object fold.  Both produce bit-identical
-    accumulator state (the :mod:`.accumulators` exactness contract).
-    """
+    """Fold shard ``index`` of a store into ``acc``, either format."""
     info = sharded.manifest.shards[index]
-    if info.format == "binary":
-        acc.update_columns(sharded.shard_columns(index), info.machine_lo)
-    else:
-        acc.update(sharded.shard_dataset(index), info.machine_lo)
+    acc.update_columns(sharded.shard_columns(index), info.machine_lo)
 
 
 def _accumulate_shard(payload: tuple[str, int, bool]) -> FleetAccumulator:

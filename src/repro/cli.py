@@ -711,9 +711,9 @@ def cmd_convert(args: argparse.Namespace) -> int:
     from .traces import (
         convert_shards,
         is_shard_store,
-        load_dataset,
+        load_columns,
         open_shards,
-        save_dataset,
+        save_columns,
     )
 
     if is_shard_store(args.input):
@@ -728,11 +728,12 @@ def cmd_convert(args: argparse.Namespace) -> int:
             f"({manifest.n_events} events) to {args.format} in {args.output}"
         )
         return 0
-    dataset = load_dataset(args.input)
-    save_dataset(dataset, args.output, format=args.format)
+    # Read into memory: the output may be the input file itself.
+    columns = load_columns(args.input, mmap=False)
+    save_columns(columns, args.output, format=args.format)
     size = Path(args.output).stat().st_size
     print(
-        f"converted {len(dataset)} events to {args.format} in "
+        f"converted {len(columns)} events to {args.format} in "
         f"{args.output} ({size} bytes)"
     )
     return 0

@@ -48,9 +48,8 @@ from ..faults.plan import (
     FaultPlan,
 )
 from ..obs.metrics import get_registry
-from ..traces.binio import open_columns
-from ..traces.io import SCHEMA_VERSION, save_columns
-from ..traces.records import EventColumns, validate_columns
+from ..traces.io import SCHEMA_VERSION, load_columns, save_columns
+from ..traces.records import EventColumns
 
 logger = logging.getLogger(__name__)
 
@@ -182,11 +181,7 @@ class DatasetCache:
         try:
             if self._injected(SITE_CACHE_READ_CORRUPT, key):
                 raise TraceError(f"injected cache read corruption at {key}")
-            _, columns, hourly = open_columns(path, mmap=False)
-            validate_columns(
-                columns.events, n_machines=columns.n_machines, span=columns.span
-            )
-            columns.hourly_load = hourly
+            columns = load_columns(path, mmap=False)
         except (TraceError, OSError, ValueError, KeyError) as exc:
             # Corrupted/truncated/stale entry: drop it and regenerate.
             registry.inc("cache.corrupt_evicted")

@@ -21,10 +21,8 @@ from .generate import (
     generate_scenario_columns,
     generate_scenario_shards,
     merge_overlay_rows,
-    scenario_dataset_cache_key,
     scenario_fleet,
     scenario_metadata,
-    scenario_shard_cache_key,
 )
 from .loader import (
     dump_scenario,
@@ -64,10 +62,8 @@ __all__ = [
     "load_scenario_file",
     "merge_overlay_rows",
     "parse_scenario",
-    "scenario_dataset_cache_key",
     "scenario_fleet",
     "scenario_metadata",
     "scenario_names",
     "scenario_path",
-    "scenario_shard_cache_key",
 ]

@@ -42,10 +42,8 @@ __all__ = [
     "generate_scenario_columns",
     "generate_scenario_shards",
     "merge_overlay_rows",
-    "scenario_dataset_cache_key",
     "scenario_fleet",
     "scenario_metadata",
-    "scenario_shard_cache_key",
 ]
 
 
@@ -63,28 +61,6 @@ def scenario_metadata(compiled: CompiledScenario) -> dict:
     from ..traces.generate import dataset_metadata
 
     return dataset_metadata(compiled.machine_config(0, compiled.segments()[0]))
-
-
-def scenario_dataset_cache_key(
-    compiled: CompiledScenario, *, keep_hourly_load: bool = True
-) -> str:
-    """Dataset-cache key for a monolithic scenario fleet."""
-    from ..parallel.cache import config_fingerprint
-
-    return config_fingerprint(
-        compiled, extra=("scenario-dataset", keep_hourly_load)
-    )
-
-
-def scenario_shard_cache_key(
-    compiled: CompiledScenario, lo: int, hi: int, *, keep_hourly_load: bool = True
-) -> str:
-    """Dataset-cache key for one generated scenario shard."""
-    from ..parallel.cache import config_fingerprint
-
-    return config_fingerprint(
-        compiled, extra=("scenario-shard", lo, hi, keep_hourly_load)
-    )
 
 
 def merge_overlay_rows(base: np.ndarray, overlays: np.ndarray) -> np.ndarray:

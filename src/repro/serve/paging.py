@@ -395,12 +395,10 @@ class BlockPager:
             cached = self._jsonl_cache
             if cached is not None and cached[0] == shard:
                 return cached[1]
-        from ..traces.io import load_dataset
+        from ..traces.io import load_columns
 
         info = self._store.manifest.shards[shard]
-        columns = EventColumns.from_dataset(
-            load_dataset(self._store.root / info.path)
-        )
+        columns = load_columns(self._store.root / info.path)
         with self._jsonl_lock:
             self._jsonl_cache = (shard, columns)
         return columns

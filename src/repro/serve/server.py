@@ -658,8 +658,7 @@ def boot(
     serve it behind an ingest queue that snapshots back to that file."""
     from pathlib import Path
 
-    from ..traces import is_shard_store, load_dataset, open_shards
-    from ..traces.records import EventColumns
+    from ..traces import is_shard_store, load_columns, open_shards
 
     knobs = dict(
         block_machines=spec.block_machines,
@@ -674,8 +673,7 @@ def boot(
         store = open_shards(spec.trace, verify=spec.verify)
         state = ServeState.from_store(store, shard_range=spec.shard_range, **knobs)
     else:
-        columns = EventColumns.from_dataset(load_dataset(spec.trace))
-        state = ServeState.from_columns(columns, **knobs)
+        state = ServeState.from_columns(load_columns(spec.trace), **knobs)
     snapshot_fn = None
     if spec.snapshot_dir is not None:
         name = "serve" if spec.worker_id is None else f"worker{spec.worker_id}"

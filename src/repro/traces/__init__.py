@@ -12,10 +12,8 @@ from .._lazy import attach as _attach
 #: Public name -> the submodule that defines it, resolved on first access
 #: (PEP 562): reading a shard store never imports the generator below it.
 _EXPORTS = {
-    "load_dataset_binary": ".binio",
     "open_columns": ".binio",
     "save_columns_binary": ".binio",
-    "save_dataset_binary": ".binio",
     "TraceDataset": ".dataset",
     "load_event_list_csv": ".external",
     "concat_in_time": ".filters",
@@ -30,6 +28,7 @@ _EXPORTS = {
     "generate_dataset_columns": ".generate",
     "TRACE_FORMATS": ".io",
     "detect_format": ".io",
+    "load_columns": ".io",
     "load_dataset": ".io",
     "save_columns": ".io",
     "save_dataset": ".io",

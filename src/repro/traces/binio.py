@@ -7,7 +7,7 @@ three contiguous blocks so reads are zero-copy:
 
 ``magic + version + header length`` (14 bytes)
     Magic bytes ``\\x93FGCSBIN`` identify the format (and let
-    :func:`repro.traces.io.load_dataset` auto-detect it), a ``<u2``
+    :func:`repro.traces.io.load_columns` auto-detect it), a ``<u2``
     format version rejects incompatible layouts before any parsing, and
     a ``<u4`` gives the JSON header's byte length.
 
@@ -46,16 +46,14 @@ from typing import BinaryIO, Optional, Union
 import numpy as np
 
 from ..errors import TraceError
-from .records import EVENT_DTYPE, EventColumns, columns_to_events, events_to_columns
+from .records import EVENT_DTYPE, EventColumns
 
 __all__ = [
     "BIN_SCHEMA_VERSION",
     "MAGIC",
     "is_binary_trace",
-    "load_dataset_binary",
     "open_columns",
     "save_columns_binary",
-    "save_dataset_binary",
 ]
 
 #: Leading magic bytes of every ``fgcs-bin`` file.  The ``\x93`` prefix
@@ -87,18 +85,11 @@ def is_binary_trace(path: PathLike) -> bool:
         return False
 
 
-def save_dataset_binary(dataset, path: PathLike) -> None:
-    """Write a dataset as one ``fgcs-bin`` file (``.bin`` suggested)."""
-    save_columns_binary(EventColumns.from_dataset(dataset), path)
-
-
 def save_columns_binary(columns: EventColumns, path: PathLike) -> None:
     """Write an event-column unit as one ``fgcs-bin`` file.
 
-    The column-native twin of :func:`save_dataset_binary` — the event
-    table is dumped as-is, so the columnar generation path writes a trace
-    without ever materializing event objects.  Output bytes are a pure
-    function of the columns, identical to saving the equivalent dataset.
+    The event table is dumped as-is, so no event objects are ever
+    materialized.  Output bytes are a pure function of the columns.
     """
     path = Path(path)
     events = columns.events
@@ -182,10 +173,9 @@ def open_columns(
 
     With ``mmap=True`` (default) the event block and hourly matrix are
     read-only memory maps over the file — no bytes are copied or decoded
-    until a consumer touches them.  The event table itself is validated
-    vectorized by the caller that needs it
-    (:func:`repro.traces.records.validate_columns`); this function only
-    checks the frame.
+    until a consumer touches them.  This function only checks the frame;
+    :func:`repro.traces.io.load_columns` wraps it and validates the event
+    table and hourly shape.
     """
     path = Path(path)
     header, events_off = _read_header(path)
@@ -244,51 +234,6 @@ def open_columns(
         metadata=dict(header.get("metadata", {})),
     )
     return header, columns, hourly
-
-
-def load_dataset_binary(path: PathLike):
-    """Read a binary trace back into an in-memory :class:`TraceDataset`.
-
-    Events are decoded straight from the column block — one C pass per
-    column plus object construction, no JSON and no
-    :class:`~repro.traces.records.EventRecord` intermediates.  The
-    hourly-load matrix is copied out of the map so the returned dataset
-    owns writable arrays, like the JSONL loader's.
-    """
-    from .dataset import TraceDataset
-    from .records import validate_columns
-
-    _, columns, hourly = open_columns(path, mmap=True)
-    try:
-        validate_columns(
-            columns.events, n_machines=columns.n_machines, span=columns.span
-        )
-    except TraceError as exc:
-        raise TraceError(f"{path}: {exc}") from exc
-    # validate_columns proved sort order and ranges, so the trusted
-    # constructor can skip the per-event re-checks.
-    dataset = TraceDataset.from_validated(
-        columns_to_events(columns.events),
-        n_machines=columns.n_machines,
-        span=columns.span,
-        start_weekday=columns.start_weekday,
-        hourly_load=None if hourly is None else np.array(hourly, dtype=np.float64),
-        metadata=columns.metadata,
-    )
-    _close_memmap(columns.events)
-    if hourly is not None:
-        _close_memmap(hourly)
-    return dataset
-
-
-def _close_memmap(arr: np.ndarray) -> None:
-    """Release a memmap's file handle promptly (harmless for plain arrays)."""
-    mm = getattr(arr, "_mmap", None)
-    if mm is not None:
-        try:
-            mm.close()
-        except (BufferError, OSError):  # still referenced: GC will close it
-            pass
 
 
 def file_size(path: PathLike) -> int:

@@ -12,14 +12,18 @@ Two lossless on-disk formats carry a full dataset (see
   array plus a compact JSON header, read zero-copy.  The performance
   format for fleet-scale pipelines.
 
-:func:`load_dataset` auto-detects the format by magic bytes, so readers
-never need to be told which they were handed.  :func:`save_dataset`
+Either format is read by one reader and written by one writer, both on
+:class:`~repro.traces.records.EventColumns`: :func:`load_columns`
+detects the format by magic bytes, decodes it into columns with the
+hourly block attached and validates them once; :func:`save_columns`
 takes ``format=`` explicitly or infers ``binary`` from a ``.bin`` /
-``.fgcsbin`` suffix.  Both directions report I/O telemetry — bytes and
-encode/decode timings per format — on the ambient metrics registry
-(``io.bytes_read.<fmt>`` / ``io.bytes_written.<fmt>`` counters,
-``io.decode_seconds.<fmt>`` / ``io.encode_seconds.<fmt>`` histograms),
-surfaced in the run manifest's ``io`` section.
+``.fgcsbin`` suffix.  :func:`load_dataset` and :func:`save_dataset` are
+the same two calls plus the conversion to and from a
+:class:`~repro.traces.dataset.TraceDataset`.  Both directions report I/O
+telemetry — bytes and encode/decode timings per format — on the ambient
+metrics registry (``io.bytes_read.<fmt>`` / ``io.bytes_written.<fmt>``
+counters, ``io.decode_seconds.<fmt>`` / ``io.encode_seconds.<fmt>``
+histograms), surfaced in the run manifest's ``io`` section.
 """
 
 from __future__ import annotations
@@ -33,12 +37,20 @@ import numpy as np
 
 from ..errors import TraceError
 from ..obs.metrics import get_registry
+from ..units import HOUR
 from .dataset import TraceDataset
-from .records import EventRecord
+from .records import (
+    EVENT_DTYPE,
+    EventColumns,
+    EventRecord,
+    columns_to_events,
+    validate_columns,
+)
 
 __all__ = [
     "TRACE_FORMATS",
     "detect_format",
+    "load_columns",
     "save_columns",
     "save_dataset",
     "load_dataset",
@@ -78,27 +90,15 @@ def save_dataset(
     dataset: TraceDataset, path: PathLike, *, format: Optional[str] = None
 ) -> None:
     """Write a dataset losslessly in the given (or suffix-implied) format."""
-    path = Path(path)
-    fmt = _resolve_format(path, format)
-    registry = get_registry()
-    with registry.timer(f"io.encode_seconds.{fmt}"):
-        if fmt == "binary":
-            from .binio import save_dataset_binary
-
-            save_dataset_binary(dataset, path)
-        else:
-            _save_dataset_jsonl(dataset, path)
-    if registry.enabled:
-        registry.inc(f"io.bytes_written.{fmt}", path.stat().st_size)
+    save_columns(EventColumns.from_dataset(dataset), path, format=format)
 
 
 def save_columns(columns, path: PathLike, *, format: Optional[str] = None) -> None:
     """Write an :class:`~repro.traces.records.EventColumns` unit losslessly.
 
-    The column-native twin of :func:`save_dataset`: same formats, same
-    telemetry, byte-identical output to saving the equivalent dataset —
-    but no event objects are ever built, which is what lets the columnar
-    generation pipeline stay object-free from sampling to disk.
+    The one trace writer: no event objects are ever built, which is what
+    lets the columnar generation pipeline stay object-free from sampling
+    to disk.  The bytes are a pure function of the columns.
     """
     path = Path(path)
     fmt = _resolve_format(path, format)
@@ -114,37 +114,16 @@ def save_columns(columns, path: PathLike, *, format: Optional[str] = None) -> No
         registry.inc(f"io.bytes_written.{fmt}", path.stat().st_size)
 
 
-def _save_dataset_jsonl(dataset: TraceDataset, path: Path) -> None:
-    header = {
-        "schema": SCHEMA_VERSION,
-        "kind": "fgcs-trace",
-        "n_machines": dataset.n_machines,
-        "span": dataset.span,
-        "start_weekday": dataset.start_weekday,
-        "metadata": dataset.metadata,
-        "hourly_load": (
-            None
-            if dataset.hourly_load is None
-            else [[_none_if_nan(x) for x in row] for row in dataset.hourly_load]
-        ),
-    }
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for ev in dataset.events:
-            fh.write(json.dumps(EventRecord.from_event(ev).to_dict()) + "\n")
-
-
-#: On-disk state codes back to the JSONL state strings.
+#: On-disk state codes to the JSONL state strings, and back.
 _CODE_TO_STATE_STR = {3: "S3", 4: "S4", 5: "S5"}
+_STATE_STR_TO_CODE = {v: k for k, v in _CODE_TO_STATE_STR.items()}
 
 
 def _save_columns_jsonl(columns, path: Path) -> None:
-    """``_save_dataset_jsonl`` fed from an event-column table.
+    """The JSONL writer: one header line, then one line per event row.
 
-    Produces byte-identical output: the header and per-row dicts carry the
-    same keys in the same order, ``.tolist()`` yields the same native
-    Python scalars ``EventRecord`` would hold (so ``json.dumps`` renders
-    identical shortest-repr floats), and NaN means become ``null``.
+    ``.tolist()`` yields native Python scalars, so ``json.dumps`` renders
+    shortest-repr floats, and NaN means become ``null``.
     """
     import math
 
@@ -187,28 +166,74 @@ def _save_columns_jsonl(columns, path: Path) -> None:
             fh.write(json.dumps(row) + "\n")
 
 
+def load_columns(path: PathLike, *, mmap: bool = True) -> EventColumns:
+    """Read a trace file of either format as validated event columns.
+
+    The one trace reader.  The format is detected from the file's magic
+    bytes, never from its name, so renamed or cached files always load
+    correctly.  The hourly-load matrix comes attached.  With ``mmap=True``
+    a binary file's event and hourly blocks are read-only memory maps
+    over the file; ``mmap=False`` reads them into owned, writable arrays.
+    JSONL rows are sorted by ``(machine_id, start)``, stably, so rows
+    written in any order load as one table.  Every table is checked by
+    :func:`~repro.traces.records.validate_columns` and against its
+    hourly shape before it is returned.
+    """
+    path = Path(path)
+    registry = get_registry()
+    fmt = detect_format(path)
+    with registry.timer(f"io.decode_seconds.{fmt}"):
+        if fmt == "binary":
+            from .binio import open_columns
+
+            _, columns, hourly = open_columns(path, mmap=mmap)
+            columns.hourly_load = hourly
+        else:
+            columns = _read_columns_jsonl(path)
+        try:
+            validate_columns(
+                columns.events, n_machines=columns.n_machines, span=columns.span
+            )
+            hourly = columns.hourly_load
+            expect = (columns.n_machines, int(columns.span // HOUR))
+            if hourly is not None and hourly.shape != expect:
+                raise TraceError(f"hourly_load shape {hourly.shape} != {expect}")
+        except TraceError as exc:
+            raise TraceError(f"{path}: {exc}") from exc
+    if registry.enabled:
+        registry.inc(f"io.bytes_read.{fmt}", path.stat().st_size)
+    return columns
+
+
 def load_dataset(path: PathLike) -> TraceDataset:
     """Read a dataset written by :func:`save_dataset`, either format.
 
-    The format is detected from the file's magic bytes, never from its
-    name, so renamed or cached files always load correctly.
+    :func:`load_columns` plus the conversion to event objects; the
+    hourly-load matrix is an owned, writable array.
     """
-    path = Path(path)
-    from .binio import is_binary_trace, load_dataset_binary
-
-    registry = get_registry()
-    fmt = "binary" if is_binary_trace(path) else "jsonl"
-    with registry.timer(f"io.decode_seconds.{fmt}"):
-        if fmt == "binary":
-            dataset = load_dataset_binary(path)
-        else:
-            dataset = _load_dataset_jsonl(path)
-    if registry.enabled:
-        registry.inc(f"io.bytes_read.{fmt}", path.stat().st_size)
-    return dataset
+    columns = load_columns(path, mmap=False)
+    # load_columns proved ids, spans and (machine_id, start) order, so
+    # the trusted constructor can skip the per-event re-checks.
+    return TraceDataset.from_validated(
+        columns_to_events(columns.events),
+        n_machines=columns.n_machines,
+        span=columns.span,
+        start_weekday=columns.start_weekday,
+        hourly_load=columns.hourly_load,
+        metadata=columns.metadata,
+    )
 
 
-def _load_dataset_jsonl(path: Path) -> TraceDataset:
+def _read_columns_jsonl(path: Path) -> EventColumns:
+    """Parse a JSONL trace straight into :data:`EVENT_DTYPE` rows.
+
+    Each line converts its fields exactly as
+    :meth:`EventRecord.from_dict <repro.traces.records.EventRecord.from_dict>`
+    does; a line that does not parse fails with its 1-based line number
+    and the line quoted.
+    """
+    nan = float("nan")
+    mids, starts, ends, codes, loads, mbs = [], [], [], [], [], []
     with path.open("r", encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line:
@@ -217,39 +242,68 @@ def _load_dataset_jsonl(path: Path) -> TraceDataset:
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise TraceError(f"{path}: bad header: {exc}") from exc
-        if header.get("kind") != "fgcs-trace":
+        if not isinstance(header, dict) or header.get("kind") != "fgcs-trace":
             raise TraceError(f"{path}: not an FGCS trace file")
         if header.get("schema") != SCHEMA_VERSION:
             raise TraceError(
                 f"{path}: unsupported schema {header.get('schema')!r}"
             )
-        events = []
+        try:
+            n_machines = int(header["n_machines"])
+            span = float(header["span"])
+            start_weekday = int(header.get("start_weekday", 0))
+            metadata = dict(header.get("metadata", {}))
+            hourly = header.get("hourly_load")
+            if hourly is not None:
+                # JSON null converts to NaN.
+                hourly = np.array(hourly, dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceError(f"{path}: bad header: {exc}") from exc
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = EventRecord.from_dict(json.loads(line))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                d = json.loads(line)
+                mid = int(d["machine_id"])
+                start = float(d["start"])
+                end = float(d["end"])
+                state = str(d["state"])
+                load = d.get("mean_host_load")
+                mb = d.get("mean_free_mb")
+                load = nan if load is None else float(load)
+                mb = nan if mb is None else float(mb)
+                code = _STATE_STR_TO_CODE.get(state)
+                if code is None:
+                    raise ValueError(f"invalid failure state {state!r}")
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise TraceError(
                     f"{path}:{lineno}: bad event record: {exc}: "
                     f"offending line {_snippet(line)}"
                 ) from exc
-            events.append(rec.to_event())
-    hourly = header.get("hourly_load")
-    hourly_arr = None
-    if hourly is not None:
-        hourly_arr = np.array(
-            [[np.nan if x is None else x for x in row] for row in hourly],
-            dtype=np.float64,
-        )
-    return TraceDataset(
-        events=events,
-        n_machines=int(header["n_machines"]),
-        span=float(header["span"]),
-        start_weekday=int(header.get("start_weekday", 0)),
-        hourly_load=hourly_arr,
-        metadata=dict(header.get("metadata", {})),
+            mids.append(mid)
+            starts.append(start)
+            ends.append(end)
+            codes.append(code)
+            loads.append(load)
+            mbs.append(mb)
+    events = np.empty(len(mids), dtype=EVENT_DTYPE)
+    try:
+        events["machine_id"] = mids
+    except OverflowError as exc:
+        raise TraceError(f"{path}: machine_id out of range: {exc}") from exc
+    events["start"] = starts
+    events["end"] = ends
+    events["state"] = codes
+    events["mean_host_load"] = loads
+    events["mean_free_mb"] = mbs
+    return EventColumns(
+        events=events[np.lexsort((events["start"], events["machine_id"]))],
+        n_machines=n_machines,
+        span=span,
+        start_weekday=start_weekday,
+        metadata=metadata,
+        hourly_load=hourly,
     )
 
 

@@ -1,11 +1,12 @@
 """Flat, serializable trace records: row codec and batch column codec.
 
 :class:`EventRecord` is the row-at-a-time form one JSONL/CSV line maps
-to.  The column codec below is its batch counterpart for the binary
-trace format (:mod:`repro.traces.binio`): a whole event table as one
-NumPy structured array (:data:`EVENT_DTYPE`), converted to and from
-event lists in bulk and validated vectorized — no per-event Python
-objects on the hot path.
+to.  The column codec below is its batch counterpart: a whole event
+table as one NumPy structured array (:data:`EVENT_DTYPE`, also the
+event block of the binary format, :mod:`repro.traces.binio`), converted
+to and from event lists in bulk and validated vectorized — no
+per-event Python objects on the hot path.  :class:`EventColumns` is the
+form every trace is read, written, sharded and folded in.
 """
 
 from __future__ import annotations
@@ -246,11 +247,12 @@ def validate_columns(
 
 @dataclass
 class EventColumns:
-    """A shard's event table as columns, plus its dataset-level frame.
+    """A trace's (or a shard's) event table as columns, plus its frame.
 
-    The zero-copy unit of the binary streaming path: ``events`` may be a
-    read-only memmap straight off the file, and the accumulators fold it
-    without materializing any per-event objects
+    What :func:`repro.traces.io.load_columns` returns and
+    :func:`repro.traces.io.save_columns` writes: ``events`` may be a
+    read-only memmap straight off a binary file, and the accumulators
+    fold it without materializing any per-event objects
     (:meth:`repro.analysis.accumulators.FleetAccumulator.update_columns`).
     """
 
@@ -259,10 +261,9 @@ class EventColumns:
     span: float
     start_weekday: int = 0
     metadata: dict = field(default_factory=dict)
-    #: Optional ``(n_machines, n_hours)`` hourly-load matrix.  The columnar
-    #: generation path carries it here so a whole dataset travels as one
-    #: object-free unit; readers that stream shards keep receiving the
-    #: hourly block separately from :func:`repro.traces.binio.open_columns`.
+    #: Optional ``(n_machines, n_hours)`` hourly-load matrix, so a whole
+    #: dataset travels as one object-free unit: generation attaches it,
+    #: and :func:`repro.traces.io.load_columns` reads it with the events.
     hourly_load: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
@@ -283,6 +284,27 @@ class EventColumns:
         ``bounds[m]:bounds[m+1]`` (events are sorted by machine)."""
         return np.searchsorted(
             self.events["machine_id"], np.arange(self.n_machines + 1)
+        )
+
+    def slice_machines(self, lo: int, hi: int) -> "EventColumns":
+        """Machines ``[lo, hi)`` as their own unit, renumbered ``0 .. hi-lo-1``.
+
+        The event rows are copied with shifted machine ids; the hourly
+        rows are a view.  Span, start weekday and a copy of the metadata
+        carry over.
+        """
+        if not 0 <= lo < hi <= self.n_machines:
+            raise TraceError(f"bad shard machine range [{lo}, {hi})")
+        a, b = np.searchsorted(self.events["machine_id"], [lo, hi])
+        events = np.array(self.events[a:b])
+        events["machine_id"] -= lo
+        return EventColumns(
+            events=events,
+            n_machines=hi - lo,
+            span=self.span,
+            start_weekday=self.start_weekday,
+            metadata=dict(self.metadata),
+            hourly_load=None if self.hourly_load is None else self.hourly_load[lo:hi],
         )
 
     @classmethod

@@ -32,10 +32,11 @@ machine ids renumbered to shard-local ``0 .. n-1`` — plus one
 Shard files are byte-identical to slicing the monolithic dataset with
 :func:`write_shards` — ``generate_shards`` then ``load_full`` equals
 ``generate_dataset`` exactly, for any ``jobs`` value and any fault plan
-whose faults are cleared by retries.  Streaming consumers iterate
-:meth:`ShardedTraceDataset.iter_shards` one shard at a time (constant
-memory); see :mod:`repro.analysis.accumulators` for the mergeable
-analyses built on top.
+whose faults are cleared by retries.  Shards are read, written and
+sliced only as :class:`~repro.traces.records.EventColumns`: streaming
+consumers read :meth:`ShardedTraceDataset.shard_columns` one shard at a
+time (constant memory); see :mod:`repro.analysis.accumulators` for the
+mergeable analyses built on top.
 """
 
 from __future__ import annotations
@@ -46,16 +47,15 @@ import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 
 from ..config import ExecutionConfig, FgcsConfig
 from ..errors import TraceError
-from ..core.events import UnavailabilityEvent
 from .dataset import TraceDataset
-from .io import SCHEMA_VERSION, TRACE_FORMATS, load_dataset, save_dataset
-from .records import EventColumns, events_to_columns, validate_columns
+from .io import SCHEMA_VERSION, TRACE_FORMATS, load_columns, save_columns
+from .records import EventColumns, columns_to_events, validate_columns
 
 if TYPE_CHECKING:  # the generator stays out of shard readers' imports
     from .generate import Fleet
@@ -67,7 +67,6 @@ __all__ = [
     "ShardManifest",
     "ShardedTraceDataset",
     "convert_shards",
-    "dataset_shard",
     "generate_shards",
     "is_shard_store",
     "open_shards",
@@ -80,11 +79,8 @@ logger = logging.getLogger(__name__)
 #: Version of the shard layout + manifest document.  Bump when the
 #: manifest keys or the shard-file conventions change incompatibly.
 #: v2 added the per-shard ``format`` field (``jsonl`` | ``binary``);
-#: v1 manifests are still read, with every shard implied ``jsonl``.
+#: readers refuse every other version.
 SHARD_SCHEMA_VERSION = 2
-
-#: Manifest schema versions :meth:`ShardManifest.from_dict` accepts.
-_READABLE_SHARD_SCHEMAS = (1, SHARD_SCHEMA_VERSION)
 
 #: The manifest file name inside a shard directory.
 MANIFEST_NAME = "manifest.json"
@@ -117,7 +113,7 @@ def partition_machines(n_machines: int, n_shards: int) -> list[tuple[int, int]]:
 def _shard_metadata(base: dict, index: int, lo: int, hi: int, fleet: int) -> dict:
     """Shard-file metadata: the fleet metadata plus the shard identity.
 
-    Built identically by :func:`dataset_shard` and the generation worker
+    Built identically by :func:`write_shards` and the generation worker
     so split-from-monolithic and generated-sharded files are
     byte-identical.
     """
@@ -132,52 +128,6 @@ def _shard_metadata(base: dict, index: int, lo: int, hi: int, fleet: int) -> dic
     }
 
 
-def _relocate_events(
-    events: list[UnavailabilityEvent], lo: int, hi: int, offset: int
-) -> list[UnavailabilityEvent]:
-    """Events of machines ``[lo, hi)`` with machine ids shifted by ``offset``."""
-    out = []
-    for e in events:
-        if lo <= e.machine_id < hi:
-            out.append(
-                UnavailabilityEvent(
-                    machine_id=e.machine_id + offset,
-                    start=e.start,
-                    end=e.end,
-                    state=e.state,
-                    mean_host_load=e.mean_host_load,
-                    mean_free_mb=e.mean_free_mb,
-                )
-            )
-    return out
-
-
-def dataset_shard(
-    dataset: TraceDataset, index: int, lo: int, hi: int
-) -> TraceDataset:
-    """The shard-local dataset for machine range ``[lo, hi)``.
-
-    Machine ids are renumbered to ``0 .. hi-lo-1``; the span, start
-    weekday, and hourly-load rows are preserved, and the metadata gains a
-    ``"shard"`` section recording the global range.
-    """
-    if not 0 <= lo < hi <= dataset.n_machines:
-        raise TraceError(f"bad shard machine range [{lo}, {hi})")
-    hourly = None
-    if dataset.hourly_load is not None:
-        hourly = dataset.hourly_load[lo:hi].copy()
-    return TraceDataset(
-        events=_relocate_events(dataset.events, lo, hi, -lo),
-        n_machines=hi - lo,
-        span=dataset.span,
-        start_weekday=dataset.start_weekday,
-        hourly_load=hourly,
-        metadata=_shard_metadata(
-            dict(dataset.metadata), index, lo, hi, dataset.n_machines
-        ),
-    )
-
-
 def _sha256_file(path: Path) -> str:
     h = hashlib.sha256()
     with path.open("rb") as fh:
@@ -186,26 +136,15 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _atomic_save(dataset: TraceDataset, path: Path, fmt: str = "jsonl") -> None:
+def _atomic_save_columns(columns: EventColumns, path: Path, fmt: str) -> None:
     """Write a shard file atomically (temp + rename), like the cache does.
 
     The format is passed explicitly — the temp name's ``.tmp<pid>``
     suffix would defeat suffix-based inference.
     """
-    _atomic_write(save_dataset, dataset, path, fmt)
-
-
-def _atomic_save_columns(columns, path: Path, fmt: str = "jsonl") -> None:
-    """:func:`_atomic_save` for an event-column unit (same output bytes)."""
-    from .io import save_columns
-
-    _atomic_write(save_columns, columns, path, fmt)
-
-
-def _atomic_write(save, payload, path: Path, fmt: str) -> None:
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
     try:
-        save(payload, tmp, format=fmt)
+        save_columns(columns, tmp, format=fmt)
         os.replace(tmp, path)
     finally:
         if tmp.exists():
@@ -239,9 +178,8 @@ class ShardInfo:
     #: configured (provenance only — reads never require the cache).
     cache_key: Optional[str] = None
     #: On-disk trace format of the shard file (``jsonl`` | ``binary``).
-    #: Readers still sniff magic bytes; the manifest field is what lets
-    #: the streaming analyzer pick the zero-copy path without opening
-    #: the file twice.  Absent in v1 manifests, implying ``jsonl``.
+    #: Readers sniff magic bytes; the manifest records it for provenance
+    #: and for tools that list a store without opening its shards.
     format: str = "jsonl"
 
     @property
@@ -270,7 +208,7 @@ class ShardInfo:
             n_events=int(d["n_events"]),
             sha256=str(d["sha256"]),
             cache_key=d.get("cache_key"),
-            format=_check_format(str(d.get("format", "jsonl"))),
+            format=_check_format(str(d["format"])),
         )
 
 
@@ -341,10 +279,10 @@ class ShardManifest:
         if data.get("kind") != _KIND:
             raise TraceError("not a shard manifest")
         schema = data.get("schema", {})
-        if schema.get("shards") not in _READABLE_SHARD_SCHEMAS:
+        if schema.get("shards") != SHARD_SCHEMA_VERSION:
             raise TraceError(
                 f"unsupported shard schema {schema.get('shards')!r} "
-                f"(expected one of {_READABLE_SHARD_SCHEMAS})"
+                f"(expected {SHARD_SCHEMA_VERSION})"
             )
         return cls(
             n_machines=int(data["n_machines"]),
@@ -442,47 +380,14 @@ class ShardedTraceDataset:
     def shard_path(self, index: int) -> Path:
         return self.root / self.manifest.shards[index].path
 
-    def shard_dataset(self, index: int) -> TraceDataset:
-        """Load one shard (local machine ids), verifying per ``verify``."""
-        info = self.manifest.shards[index]
-        path = self.root / info.path
-        if self.verify:
-            try:
-                digest = _sha256_file(path)
-            except OSError as exc:
-                raise TraceError(f"cannot read shard {path}: {exc}") from exc
-            if digest != info.sha256:
-                raise TraceError(
-                    f"shard {info.path} content fingerprint mismatch "
-                    f"(expected {info.sha256[:12]}…, got {digest[:12]}…); "
-                    "the file was corrupted or replaced"
-                )
-        dataset = load_dataset(path)
-        if self.verify:
-            if dataset.n_machines != info.n_machines:
-                raise TraceError(
-                    f"shard {info.path} holds {dataset.n_machines} machines, "
-                    f"manifest says {info.n_machines}"
-                )
-            if (
-                dataset.span != self.span
-                or dataset.start_weekday != self.start_weekday
-            ):
-                raise TraceError(
-                    f"shard {info.path} span/start_weekday disagrees with "
-                    "the manifest"
-                )
-        return dataset
-
     def shard_columns(self, index: int) -> EventColumns:
-        """One shard's event table as columns, zero-copy when binary.
+        """One shard's event columns (local machine ids), hourly block
+        attached; zero-copy memory maps when the shard is binary.
 
-        For a binary shard the returned columns wrap a read-only memmap
-        over the shard file — no events are decoded or copied; for a
-        JSONL shard the events are parsed and packed (same result,
-        without the zero-copy win).  Verification per ``verify`` matches
-        :meth:`shard_dataset`: content fingerprint, vectorized event
-        validation, and header-vs-manifest checks.
+        The one shard reader: the content fingerprint (per ``verify``),
+        then :func:`~repro.traces.io.load_columns`, which validates the
+        table, then the header checks against the manifest (per
+        ``verify``).
         """
         info = self.manifest.shards[index]
         path = self.root / info.path
@@ -497,21 +402,7 @@ class ShardedTraceDataset:
                     f"(expected {info.sha256[:12]}…, got {digest[:12]}…); "
                     "the file was corrupted or replaced"
                 )
-        from .binio import is_binary_trace, open_columns
-
-        if is_binary_trace(path):
-            _, columns, _ = open_columns(path, mmap=True)
-            if self.verify:
-                try:
-                    validate_columns(
-                        columns.events,
-                        n_machines=columns.n_machines,
-                        span=columns.span,
-                    )
-                except TraceError as exc:
-                    raise TraceError(f"{path}: {exc}") from exc
-        else:
-            columns = EventColumns.from_dataset(load_dataset(path))
+        columns = load_columns(path)
         if self.verify:
             if columns.n_machines != info.n_machines:
                 raise TraceError(
@@ -528,11 +419,6 @@ class ShardedTraceDataset:
                 )
         return columns
 
-    def iter_shards(self) -> Iterator[tuple[ShardInfo, TraceDataset]]:
-        """Yield ``(info, shard_dataset)`` one shard at a time."""
-        for i in range(self.n_shards):
-            yield self.manifest.shards[i], self.shard_dataset(i)
-
     # -- whole-fleet view -----------------------------------------------------
 
     def load_full(self) -> TraceDataset:
@@ -540,23 +426,29 @@ class ShardedTraceDataset:
 
         The result equals the dataset the shards were split from (or the
         monolithic generation of the same config) exactly, including
-        metadata and hourly load.  Memory scales with the fleet — use
-        :meth:`iter_shards` plus the accumulators for large fleets.
+        metadata and hourly load.  Memory scales with the fleet — fold
+        :meth:`shard_columns` into the accumulators for large fleets.
         """
-        events: list[UnavailabilityEvent] = []
+        parts: list[np.ndarray] = []
         hourly_rows: list[Optional[np.ndarray]] = []
-        for info, shard in self.iter_shards():
-            events.extend(
-                _relocate_events(
-                    shard.events, 0, shard.n_machines, info.machine_lo
-                )
+        for index, info in enumerate(self.manifest.shards):
+            shard = self.shard_columns(index)
+            # Owned copies, so no shard file stays mapped past its turn.
+            rows = np.array(shard.events)
+            rows["machine_id"] += info.machine_lo
+            parts.append(rows)
+            hourly_rows.append(
+                None if shard.hourly_load is None else np.array(shard.hourly_load)
             )
-            hourly_rows.append(shard.hourly_load)
         hourly = None
         if hourly_rows and all(r is not None for r in hourly_rows):
             hourly = np.vstack(hourly_rows)
-        return TraceDataset(
-            events=events,
+        events = np.concatenate(parts)
+        # Unverified shards need not match the fleet frame, so check the
+        # whole table before the trusted constructor skips its checks.
+        validate_columns(events, n_machines=self.n_machines, span=self.span)
+        return TraceDataset.from_validated(
+            columns_to_events(events),
             n_machines=self.n_machines,
             span=self.span,
             start_weekday=self.start_weekday,
@@ -600,14 +492,18 @@ def write_shards(
     _check_format(format)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    columns = EventColumns.from_dataset(dataset)
     infos = []
     for index, (lo, hi) in enumerate(
         partition_machines(dataset.n_machines, n_shards)
     ):
-        shard = dataset_shard(dataset, index, lo, hi)
+        shard = columns.slice_machines(lo, hi)
+        shard.metadata = _shard_metadata(
+            shard.metadata, index, lo, hi, dataset.n_machines
+        )
         name = _shard_name(index, format)
         path = out_dir / name
-        _atomic_save(shard, path, format)
+        _atomic_save_columns(shard, path, format)
         infos.append(
             ShardInfo(
                 index=index,
@@ -645,11 +541,12 @@ def convert_shards(
 ) -> ShardManifest:
     """Re-encode a shard store in another trace format.
 
-    Each shard is loaded, re-saved in ``format``, and re-fingerprinted;
-    the manifest's fleet frame — machine ranges, metadata (including any
-    quarantine record), config fingerprint, and cache keys — carries
-    over unchanged, so provenance survives conversion.  The converted
-    store analyzes byte-identically to the source.
+    Each shard's columns are re-encoded in ``format`` and
+    re-fingerprinted; the manifest's fleet frame — machine ranges,
+    metadata (including any quarantine record), config fingerprint, and
+    cache keys — carries over unchanged, so provenance survives
+    conversion.  The converted store analyzes byte-identically to the
+    source.
     """
     _check_format(format)
     out_dir = Path(out_dir)
@@ -657,10 +554,9 @@ def convert_shards(
     src = source.manifest
     infos: list[ShardInfo] = []
     for index, info in enumerate(src.shards):
-        shard = source.shard_dataset(index)
         name = _shard_name(index, format)
         path = out_dir / name
-        _atomic_save(shard, path, format)
+        _atomic_save_columns(source.shard_columns(index), path, format)
         infos.append(
             ShardInfo(
                 index=info.index,

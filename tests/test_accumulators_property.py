@@ -38,7 +38,8 @@ from repro.analysis.streaming import analyze_dataset_streaming
 from repro.core.events import UnavailabilityEvent
 from repro.core.states import AvailState
 from repro.traces.dataset import TraceDataset
-from repro.traces.shards import dataset_shard, partition_machines
+from repro.traces.records import EventColumns
+from repro.traces.shards import partition_machines
 from repro.units import DAY
 
 # The monolithic landmarks take np.mean of empty sides by design (NaN);
@@ -109,10 +110,11 @@ def sharded_fleets(draw):
 
 
 def _partials(fleet, ranges) -> list[FleetAccumulator]:
+    columns = EventColumns.from_dataset(fleet)
     partials = []
-    for index, (lo, hi) in enumerate(ranges):
+    for lo, hi in ranges:
         acc = FleetAccumulator.for_fleet(fleet)
-        acc.update(dataset_shard(fleet, index, lo, hi), machine_lo=lo)
+        acc.update_columns(columns.slice_machines(lo, hi), machine_lo=lo)
         partials.append(acc)
     return partials
 

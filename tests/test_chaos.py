@@ -19,6 +19,7 @@ import pytest
 from repro import cli
 from repro.config import ExecutionConfig, FgcsConfig, TestbedConfig
 from repro.faults import FaultPlan, FaultSpec
+from repro.parallel.cache import DatasetCache, dataset_cache_key
 from repro.traces.generate import generate_dataset
 from repro.traces.io import save_dataset
 from repro.units import DAY
@@ -60,6 +61,12 @@ def _bytes_of(dataset, path) -> bytes:
     return path.read_bytes()
 
 
+def _assert_nothing_cached(cache_dir, cfg) -> None:
+    """Neither the config's dataset entry nor any other entry exists."""
+    assert not DatasetCache(cache_dir).path_for(dataset_cache_key(cfg)).exists()
+    assert not list(cache_dir.glob("*.bin"))
+
+
 class TestByteIdenticalUnderFaults:
     def test_generate_identical_with_transient_faults(self, tmp_path):
         clean = generate_dataset(_tiny_config())
@@ -93,9 +100,10 @@ class TestByteIdenticalUnderFaults:
     def test_cache_write_failure_degrades_gracefully(self, tmp_path):
         cache_dir = tmp_path / "cache"
         plan = FaultPlan(specs=(FaultSpec(site="cache.write_fail"),))
-        chaotic = generate_dataset(_tiny_config(cache_dir, fault_plan=plan))
+        cfg = _tiny_config(cache_dir, fault_plan=plan)
+        chaotic = generate_dataset(cfg)
         clean = generate_dataset(_tiny_config())
-        assert not list(cache_dir.glob("*.jsonl"))  # nothing was cached
+        _assert_nothing_cached(cache_dir, cfg)
         assert _bytes_of(clean, tmp_path / "clean.jsonl") == _bytes_of(
             chaotic, tmp_path / "chaos.jsonl"
         )
@@ -157,8 +165,9 @@ class TestGracefulDegradation:
                 ),
             )
         )
-        generate_dataset(_tiny_config(cache_dir, fault_plan=plan))
-        assert not list(cache_dir.glob("*.jsonl"))
+        cfg = _tiny_config(cache_dir, fault_plan=plan)
+        generate_dataset(cfg)
+        _assert_nothing_cached(cache_dir, cfg)
 
 
 class TestShardedChaos:

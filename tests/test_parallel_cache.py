@@ -177,22 +177,22 @@ class TestConcurrentEviction:
         good_blob = path.read_bytes()
         path.write_text("garbage", encoding="utf-8")
 
-        real_open = cache_mod.open_columns
+        real_load = cache_mod.load_columns
 
-        def open_then_lose_race(p, **kwargs):
+        def load_then_lose_race(p, **kwargs):
             # The corrupt read fails; before the eviction runs, a
             # concurrent writer replaces the entry with a good one.
             try:
-                return real_open(p, **kwargs)
+                return real_load(p, **kwargs)
             except Exception:
                 tmp = path.with_name("replacement.tmp")
                 tmp.write_bytes(good_blob)
                 os.replace(tmp, path)
                 raise
 
-        monkeypatch.setattr(cache_mod, "open_columns", open_then_lose_race)
+        monkeypatch.setattr(cache_mod, "load_columns", load_then_lose_race)
         assert cache.get_columns(key) is None  # the corrupt read is still a miss
-        monkeypatch.setattr(cache_mod, "open_columns", real_open)
+        monkeypatch.setattr(cache_mod, "load_columns", real_load)
         # The concurrently written good entry survived the eviction and
         # is served to the next reader.
         assert path.read_bytes() == good_blob

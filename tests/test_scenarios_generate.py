@@ -132,7 +132,7 @@ class TestQuarantine:
         assert placeholder.cache_key is None
         assert placeholder.sha256 == PLACEHOLDER_SHA256[fmt]
 
-        shard = open_shards(tmp_path / "store").shard_dataset(1)
+        shard = open_shards(tmp_path / "store").shard_columns(1)
         assert len(shard) == 0
         assert shard.hourly_load.shape == (2, DAYS * 24)
         assert np.isnan(shard.hourly_load).all()

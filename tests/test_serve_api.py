@@ -177,6 +177,77 @@ class TestStoreBackedState:
         assert stats.evictions > 0
 
 
+#: Boots ``serve`` on the trace file argv[1] in a fresh interpreter whose
+#: event class counts its instances, then prints that count and the
+#: served survival of each query in argv[2] (JSON).
+_BOOT_SCRIPT = """
+import json
+import sys
+
+from repro.core.events import UnavailabilityEvent
+
+built = []
+
+
+def counting_new(cls, *args, **kwargs):
+    built.append(cls)
+    return object.__new__(cls)
+
+
+UnavailabilityEvent.__new__ = staticmethod(counting_new)
+
+from repro.serve import ServeClient, ServeSpec, boot
+
+handle = boot(ServeSpec(trace=sys.argv[1]))
+with ServeClient(handle.url) as client:
+    answers = [
+        client.availability(m, duration, day=day, hour=hour)["survival"]
+        for m, day, hour, duration in json.loads(sys.argv[2])
+    ]
+handle.close()
+print(json.dumps({"events_built": len(built), "survival": answers}))
+"""
+
+
+class TestFlatTraceBoot:
+    def test_binary_trace_boots_without_event_objects(
+        self, golden_dataset, golden_predictor, tmp_path
+    ):
+        """``serve trace.bin`` reads the trace as columns: the state is
+        built and answers exactly without one event object."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.traces.io import save_dataset
+
+        path = tmp_path / "trace.bin"
+        save_dataset(golden_dataset, path)
+        queries = [
+            (q.machine_id, q.day, q.start_hour, q.duration_hours)
+            for q in _queries(golden_dataset.n_machines)
+        ][::7]
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _BOOT_SCRIPT, str(path), json.dumps(queries)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["events_built"] == 0
+        assert result["survival"] == [
+            golden_predictor.predict_survival(PredictionQuery(*q))
+            for q in queries
+        ]
+
+
 class TestServedOverHttp:
     """The same value-identity, through a real socket and JSON."""
 

@@ -20,7 +20,8 @@ from repro.traces import (
     write_shards,
 )
 from repro.traces.generate import generate_dataset
-from repro.traces.shards import MANIFEST_NAME, ShardManifest, dataset_shard
+from repro.traces.records import EventColumns
+from repro.traces.shards import MANIFEST_NAME, ShardManifest
 from repro.units import DAY
 
 
@@ -73,7 +74,9 @@ class TestWriteOpenRoundTrip:
 
     def test_shard_metadata_records_global_range(self, small_dataset, tmp_path):
         write_shards(small_dataset, tmp_path, 2)
-        for info, shard in open_shards(tmp_path).iter_shards():
+        store = open_shards(tmp_path)
+        for index, info in enumerate(store.manifest.shards):
+            shard = store.shard_columns(index)
             section = shard.metadata["shard"]
             assert section["machine_lo"] == info.machine_lo
             assert section["machine_hi"] == info.machine_hi
@@ -87,11 +90,12 @@ class TestWriteOpenRoundTrip:
         assert is_shard_store(tmp_path / MANIFEST_NAME)
         assert not is_shard_store(tmp_path / "shard-00000.jsonl")
 
-    def test_dataset_shard_rejects_bad_range(self, small_dataset):
-        with pytest.raises(TraceError):
-            dataset_shard(small_dataset, 0, 2, 2)
-        with pytest.raises(TraceError):
-            dataset_shard(small_dataset, 0, 0, small_dataset.n_machines + 1)
+    def test_slice_machines_rejects_bad_range(self, small_dataset):
+        columns = EventColumns.from_dataset(small_dataset)
+        with pytest.raises(TraceError, match="bad shard machine range"):
+            columns.slice_machines(2, 2)
+        with pytest.raises(TraceError, match="bad shard machine range"):
+            columns.slice_machines(0, small_dataset.n_machines + 1)
 
 
 class TestVerification:
@@ -102,9 +106,9 @@ class TestVerification:
             fh.write("\n")
         store = open_shards(tmp_path)
         with pytest.raises(TraceError, match="fingerprint"):
-            store.shard_dataset(0)
+            store.shard_columns(0)
         # verify=False trusts the bytes (corruption goes undetected).
-        open_shards(tmp_path, verify=False).shard_dataset(1)
+        open_shards(tmp_path, verify=False).shard_columns(1)
 
     def test_non_contiguous_tiling_is_rejected(self, small_dataset, tmp_path):
         manifest = write_shards(small_dataset, tmp_path, 2)

@@ -1,10 +1,11 @@
 """The binary columnar trace format and the JSONL↔binary contract.
 
 Covers the ``fgcs-bin`` layer end to end: the column codec
-(``repro.traces.records``), the binary reader/writer
-(``repro.traces.binio``), format auto-detection in ``load_dataset``,
-format-aware shards and the store converter, the column-native
-accumulator fold, and the cross-format guarantees the issue pins:
+(``repro.traces.records``), the binary block layout
+(``repro.traces.binio``), format auto-detection in the one reader
+(``load_columns``), format-aware shards and the store converter, the
+column fold against the monolithic reference, and the cross-format
+guarantees:
 
 * **lossless** — JSONL↔binary conversion round-trips any dataset
   exactly, including NaN resource observations and event-free
@@ -25,7 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.accumulators import FleetAccumulator
+from repro.analysis import cause_breakdown, daily_pattern
+from repro.analysis.accumulators import FleetAccumulator, interval_columns
 from repro.analysis.report import render_figure6, render_figure7, render_table2
 from repro.analysis.streaming import analyze_shards
 from repro.core.events import UnavailabilityEvent
@@ -38,6 +40,7 @@ from repro.traces import (
     convert_shards,
     detect_format,
     events_to_columns,
+    load_columns,
     load_dataset,
     open_shards,
     save_dataset,
@@ -48,9 +51,7 @@ from repro.traces.binio import (
     BIN_SCHEMA_VERSION,
     MAGIC,
     is_binary_trace,
-    load_dataset_binary,
     open_columns,
-    save_dataset_binary,
 )
 from repro.traces.records import EVENT_DTYPE
 from repro.units import DAY, HOUR
@@ -214,64 +215,73 @@ class TestColumnCodec:
 class TestBinaryFormat:
     def test_round_trip(self, small_dataset, tmp_path):
         p = tmp_path / "t.bin"
-        save_dataset_binary(small_dataset, p)
+        save_dataset(small_dataset, p)
         assert is_binary_trace(p)
-        assert load_dataset_binary(p).equals(small_dataset)
+        assert load_dataset(p).equals(small_dataset)
 
     def test_deterministic_bytes(self, small_dataset, tmp_path):
-        save_dataset_binary(small_dataset, tmp_path / "a.bin")
-        save_dataset_binary(small_dataset, tmp_path / "b.bin")
+        save_dataset(small_dataset, tmp_path / "a.bin")
+        save_dataset(small_dataset, tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (
             tmp_path / "b.bin"
         ).read_bytes()
 
     def test_open_columns_is_zero_copy(self, small_dataset, tmp_path):
         p = tmp_path / "t.bin"
-        save_dataset_binary(small_dataset, p)
+        save_dataset(small_dataset, p)
         _, cols, hourly = open_columns(p)
         assert isinstance(cols.events, np.memmap)
         assert not cols.events.flags.writeable
         assert hourly is not None and isinstance(hourly, np.memmap)
         assert len(cols) == len(small_dataset.events)
+        loaded = load_columns(p)
+        assert isinstance(loaded.events, np.memmap)
+        assert isinstance(loaded.hourly_load, np.memmap)
+        owned = load_columns(p, mmap=False)
+        assert not isinstance(owned.events, np.memmap)
+        assert owned.hourly_load.flags.writeable
+        assert owned.events.tobytes() == loaded.events.tobytes()
 
     def test_empty_events(self, tmp_path):
         ds = TraceDataset(
             events=[], n_machines=2, span=float(DAY), start_weekday=3
         )
         p = tmp_path / "empty.bin"
-        save_dataset_binary(ds, p)
-        assert load_dataset_binary(p).equals(ds)
+        save_dataset(ds, p)
+        assert load_dataset(p).equals(ds)
 
     def test_truncated_rejected(self, small_dataset, tmp_path):
         p = tmp_path / "t.bin"
-        save_dataset_binary(small_dataset, p)
+        save_dataset(small_dataset, p)
         p.write_bytes(p.read_bytes()[:-16])
         with pytest.raises(TraceError, match="truncated"):
-            load_dataset_binary(p)
+            load_dataset(p)
 
     def test_unknown_version_rejected(self, small_dataset, tmp_path):
         p = tmp_path / "t.bin"
-        save_dataset_binary(small_dataset, p)
+        save_dataset(small_dataset, p)
         blob = bytearray(p.read_bytes())
         blob[len(MAGIC)] = BIN_SCHEMA_VERSION + 1
         p.write_bytes(bytes(blob))
         with pytest.raises(TraceError, match="version"):
-            load_dataset_binary(p)
+            load_dataset(p)
 
     def test_not_binary_rejected(self, tmp_path):
         p = tmp_path / "t.bin"
         p.write_text("not a trace")
         assert not is_binary_trace(p)
         with pytest.raises(TraceError):
-            load_dataset_binary(p)
+            open_columns(p)
+        with pytest.raises(TraceError):
+            load_columns(p)
 
     def test_metadata_order_preserved(self, small_dataset, tmp_path):
         ds = dataclasses.replace(
             small_dataset, metadata={"zebra": 1, "alpha": 2}
         )
         p = tmp_path / "t.bin"
-        save_dataset_binary(ds, p)
-        assert list(load_dataset_binary(p).metadata) == ["zebra", "alpha"]
+        save_dataset(ds, p)
+        assert list(load_dataset(p).metadata) == ["zebra", "alpha"]
 
 
 # -- format dispatch in save/load ------------------------------------------
@@ -318,44 +328,49 @@ class TestFormatDispatch:
         assert (tmp / "a.jsonl").read_bytes() == (tmp / "c.jsonl").read_bytes()
 
 
-# -- column-native accumulator fold ----------------------------------------
+# -- column fold against the monolithic reference --------------------------
 
 
 class TestColumnFold:
-    def _accumulate(self, ds, via_columns: bool) -> FleetAccumulator:
-        acc = FleetAccumulator.for_fleet(ds)
-        if via_columns:
-            acc.update_columns(EventColumns.from_dataset(ds))
-        else:
-            acc.update(ds)
-        return acc
+    """The column fold equals the event-object reference it replaces:
+    ``availability_intervals`` (through ``all_intervals``),
+    ``cause_breakdown`` and ``daily_pattern``."""
 
-    def _assert_bit_identical(self, ds):
-        a = self._accumulate(ds, via_columns=False)
-        b = self._accumulate(ds, via_columns=True)
-        assert np.array_equal(a.causes.cpu, b.causes.cpu)
-        assert np.array_equal(a.causes.memory, b.causes.memory)
-        assert np.array_equal(a.causes.revocation, b.causes.revocation)
-        assert np.array_equal(a.causes.reboots, b.causes.reboots)
-        assert np.array_equal(a.daily.counts, b.daily.counts)
-        for side in ("_weekday", "_weekend"):
-            sa, sb = getattr(a.intervals, side), getattr(b.intervals, side)
-            assert sa.n == sb.n
-            assert sa.total_h == sb.total_h  # bit-identical float sum
-            assert np.array_equal(sa.cum, sb.cum)
-        assert (a.summary.n, a.summary.mean, a.summary.m2) == (
-            b.summary.n,
-            b.summary.mean,
-            b.summary.m2,
+    def _assert_matches_reference(self, ds):
+        cols = EventColumns.from_dataset(ds)
+        hours, weekend = interval_columns(cols)
+        intervals = ds.all_intervals()
+        ref_hours = np.array([iv.length / HOUR for iv in intervals], dtype=float)
+        ref_weekend = np.array(
+            [ds.is_weekend_time(iv.start) for iv in intervals], dtype=bool
         )
+        # Element for element, bit for bit and in order.
+        assert hours.dtype == ref_hours.dtype
+        assert hours.tobytes() == ref_hours.tobytes()
+        assert np.array_equal(weekend, ref_weekend)
+
+        acc = FleetAccumulator.for_fleet(ds)
+        acc.update_columns(cols)
+        causes = cause_breakdown(ds)
+        for name in ("cpu", "memory", "revocation", "reboots"):
+            assert np.array_equal(getattr(acc.causes, name), getattr(causes, name))
+        assert np.array_equal(acc.daily.counts, daily_pattern(ds).counts)
+        for side, mask in (("_weekday", ~ref_weekend), ("_weekend", ref_weekend)):
+            counts = getattr(acc.intervals, side)
+            assert counts.n == int(mask.sum())
+            if counts.n:
+                assert counts.total_h == float(ref_hours[mask].sum())
+        assert acc.summary.n == ref_hours.size
+        if ref_hours.size:
+            assert acc.summary.mean == float(ref_hours.mean())
 
     def test_small_dataset_bit_identical(self, small_dataset):
-        self._assert_bit_identical(small_dataset)
+        self._assert_matches_reference(small_dataset)
 
     @given(ds=datasets())
     @settings(max_examples=40, deadline=None)
     def test_property_bit_identical(self, ds):
-        self._assert_bit_identical(ds)
+        self._assert_matches_reference(ds)
 
     def test_overlapping_events_rejected(self):
         events = [
@@ -391,6 +406,11 @@ class TestBinaryShards:
         cols = sharded.shard_columns(0)
         assert isinstance(cols.events, np.memmap)
         assert cols.n_machines == sharded.manifest.shards[0].n_machines
+        # The hourly block comes with the events, also memory-mapped.
+        assert isinstance(cols.hourly_load, np.memmap)
+        np.testing.assert_array_equal(
+            cols.hourly_load, small_dataset.hourly_load[: cols.n_machines]
+        )
 
     def test_shard_columns_jsonl_fallback(self, small_dataset, tmp_path):
         write_shards(small_dataset, tmp_path / "s", 2, format="jsonl")
@@ -407,7 +427,7 @@ class TestBinaryShards:
         with pytest.raises(TraceError, match="fingerprint"):
             sharded.shard_columns(0)
 
-    def test_v1_manifest_still_readable(self, small_dataset, tmp_path):
+    def test_v1_manifest_refused(self, small_dataset, tmp_path):
         write_shards(small_dataset, tmp_path / "s", 2, format="jsonl")
         mpath = tmp_path / "s" / "manifest.json"
         doc = json.loads(mpath.read_text())
@@ -415,9 +435,8 @@ class TestBinaryShards:
         for shard in doc["shards"]:
             del shard["format"]
         mpath.write_text(json.dumps(doc))
-        sharded = open_shards(tmp_path / "s")
-        assert all(s.format == "jsonl" for s in sharded.manifest.shards)
-        assert sharded.load_full().equals(small_dataset)
+        with pytest.raises(TraceError, match="unsupported shard schema 1"):
+            open_shards(tmp_path / "s")
 
     def test_unknown_shard_format_rejected(self, small_dataset, tmp_path):
         with pytest.raises(TraceError, match="unknown shard format"):
