@@ -20,7 +20,7 @@ test:
 #   each one: a renamed or moved method fails here instead of silently
 #   emptying the traced per-layer breakdown;
 # - a 3 s perfbench batch run (about 6 s on one core), which exits 0
-#   only when streaming analysis == monolithic analysis of the same
+#   only when the shard fold == the per-event analysis of the same
 #   shards and the shard fingerprints agree across passes, so every
 #   generator change meets the batch gates, not only benchmarked ones.
 tier1:
@@ -72,8 +72,9 @@ scenarios-smoke:
 
 # The merge-equivalence suites, then benchmarks/fleet_smoke.sh: a
 # 200-machine fleet generated as 8 shards by 2 workers, its Chrome trace,
-# streaming == monolithic analysis in both formats and the manifests of
-# every phase (in fleet-smoke-out/).
+# `analyze` of the JSONL and the binary store == the per-event reference
+# rendered from the loaded store, and the manifests of every phase (in
+# fleet-smoke-out/).
 fleet-smoke:
 	PYTHONPATH=src python -m pytest -x -q --durations=10 \
 	    tests/test_accumulators_property.py tests/test_shards.py \

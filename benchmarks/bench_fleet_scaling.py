@@ -3,7 +3,7 @@
 The ISSUE's acceptance criterion for the sharded/streaming layer:
 streaming analysis of a ≥1000-machine, 92-day fleet must complete with
 peak RSS below a fixed ceiling, and its Table 2 / Figure 6 / Figure 7
-numbers must match the monolithic path on the same data.
+numbers must equal the per-event reference on the same data.
 
 The fleet is synthetic — per-machine event streams drawn from cheap
 closed-form distributions rather than the full generation pipeline, so
@@ -27,7 +27,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.analysis.accumulators import MEAN_RTOL
 from repro.core.events import UnavailabilityEvent
 from repro.core.states import AvailState
 from repro.traces.dataset import TraceDataset
@@ -138,7 +137,7 @@ def fleet_dir(tmp_path_factory) -> Path:
 # clean address space.
 
 _SUMMARY_SNIPPET = """
-def _summary(breakdown, dist, pattern, stats):
+def _summary(breakdown, dist, pattern):
     grid, wk, we = dist.cdf_series(FIG6_GRID)
     return {
         "table2": {
@@ -151,7 +150,6 @@ def _summary(breakdown, dist, pattern, stats):
         "fig6": {"weekday": wk.tolist(), "weekend": we.tolist()},
         "fig7": pattern.counts.tolist(),
         "landmarks": dist.landmarks(),
-        "summary": stats,
     }
 
 
@@ -169,26 +167,17 @@ from repro.analysis import analyze_shards
 from repro.analysis.accumulators import FIG6_GRID
 {_SUMMARY_SNIPPET}
 ana = analyze_shards(sys.argv[1])
-_finish(_summary(
-    ana.breakdown, ana.intervals, ana.pattern,
-    {{"n": ana.summary.n, "mean": ana.summary.mean}},
-))
+_finish(_summary(ana.breakdown, ana.intervals, ana.pattern))
 """
 
 _MONOLITHIC_PROBE = f"""
 import json, sys
-import numpy as np
 from repro.analysis import cause_breakdown, daily_pattern, interval_distribution
 from repro.analysis.accumulators import FIG6_GRID
 from repro.traces import open_shards
 {_SUMMARY_SNIPPET}
 ds = open_shards(sys.argv[1]).load_full()
-dist = interval_distribution(ds)
-hours = np.concatenate([dist.weekday_hours, dist.weekend_hours])
-_finish(_summary(
-    cause_breakdown(ds), dist, daily_pattern(ds),
-    {{"n": int(hours.size), "mean": float(hours.mean())}},
-))
+_finish(_summary(cause_breakdown(ds), interval_distribution(ds), daily_pattern(ds)))
 """
 
 
@@ -226,18 +215,13 @@ def test_streaming_fleet_under_memory_ceiling(benchmark, fleet_dir, out_dir):
 
 
 def test_streaming_matches_monolithic_at_fleet_scale(fleet_dir):
-    """Table 2 / Fig 6 / Fig 7 agree between streaming and monolithic."""
+    """Table 2 / Fig 6 / Fig 7 and every landmark equal the per-event
+    reference exactly."""
     streaming = _run_probe(_STREAMING_PROBE, fleet_dir)["result"]
     monolithic = _run_probe(_MONOLITHIC_PROBE, fleet_dir)["result"]
 
     assert streaming["table2"] == monolithic["table2"]
     assert streaming["fig6"] == monolithic["fig6"]
     assert streaming["fig7"] == monolithic["fig7"]
-    assert streaming["summary"]["n"] == monolithic["summary"]["n"]
-    assert streaming["summary"]["mean"] == pytest.approx(
-        monolithic["summary"]["mean"], rel=MEAN_RTOL
-    )
     for key, value in monolithic["landmarks"].items():
-        assert streaming["landmarks"][key] == pytest.approx(
-            value, rel=MEAN_RTOL
-        ), key
+        assert streaming["landmarks"][key] == value, key

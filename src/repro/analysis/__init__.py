@@ -14,7 +14,6 @@ from .accumulators import (
     FleetAccumulator,
     FleetAnalysis,
     StreamingIntervalDistribution,
-    merge_reduce,
 )
 from .capacity import CapacityReport, capacity_report
 from .causes import CauseBreakdown, cause_breakdown
@@ -24,7 +23,7 @@ from .hazard import HazardCurve, hazard_curve
 from .intervals import IntervalDistribution, interval_distribution
 from .predictability import PredictabilityReport, predictability_report
 from .stats import bootstrap_ci, ecdf, summarize
-from .streaming import analyze_dataset_streaming, analyze_shards
+from .streaming import analyze_columns, analyze_shards
 from .transitions import TransitionStats, state_transitions
 from .weekly import WeekdayProfile, weekday_profile
 
@@ -41,7 +40,7 @@ __all__ = [
     "StreamingIntervalDistribution",
     "TransitionStats",
     "WeekdayProfile",
-    "analyze_dataset_streaming",
+    "analyze_columns",
     "analyze_shards",
     "bootstrap_ci",
     "capacity_report",
@@ -52,7 +51,6 @@ __all__ = [
     "evaluate_landmarks",
     "hazard_curve",
     "interval_distribution",
-    "merge_reduce",
     "predictability_report",
     "state_transitions",
     "summarize",

@@ -1,45 +1,39 @@
-"""Mergeable streaming accumulators for the paper's fleet analyses.
+"""Mergeable accumulators for the paper's fleet analyses.
 
 Every Section 5 artifact — Table 2 cause counts, the Figure 6
-interval-length CDFs, the Figure 7 hourly occurrence histogram, and the
-interval summary statistics — can be computed shard-by-shard: each
-accumulator supports
+interval-length CDFs and the Figure 7 hourly occurrence histogram — is
+computed by folding :class:`~repro.traces.records.EventColumns` units
+(a whole trace or one shard of it) through
+:class:`FleetAccumulator`.  Each accumulator supports
 
-* ``update_columns(shard_columns, ...)`` (or ``update_hours`` with the
-  shard's :func:`interval_columns`) — fold one shard's
-  :class:`~repro.traces.records.EventColumns` in, with no per-event
+* ``update_columns(columns, ...)`` (or ``update_hours`` with the unit's
+  :func:`interval_columns`) — fold one unit in, with no per-event
   objects;
 * ``merge(other)`` — combine two partial accumulators;
 * ``finalize()`` — produce the analysis result object.
 
 so a fleet far too large to hold in memory is analyzed one shard at a
-time (constant memory) or reduced across workers.  Every shard folds
-this one way, whether it is a binary or JSONL shard file or a virtual
-shard of a loaded trace; the reference the folds must equal is the
-monolithic analysis over event objects
-(:func:`repro.core.intervals.availability_intervals`,
-:func:`~repro.analysis.causes.cause_breakdown`,
+time (constant memory) or reduced across workers.  The reference the
+fold must equal is the per-event analysis over event objects
+(:func:`~repro.analysis.causes.cause_breakdown`,
+:func:`~repro.analysis.intervals.interval_distribution`,
 :func:`~repro.analysis.daily.daily_pattern`).
 
 Exactness contract
 ------------------
-The streaming results are *numerically identical* to the monolithic
-single-pass analyses, with one documented exception:
+The fold equals the per-event reference by ``==``, for any partition
+into units and any merge order:
 
-* **exact (bit-identical):** every integer-counted statistic — the
-  per-machine Table 2 arrays, the Figure 7 ``(n_days, 24)`` count
-  matrix, every CDF value on the fixed grid (an integer count divided
-  once by ``n``), and every landmark *fraction* (``frac_below_5min``,
-  the 2–4 h / 4–6 h masses, …).  Integer addition commutes, so any
-  shard partition and any merge order gives the same counts, hence the
-  same quotients.
-* **float-tolerance:** interval-length *means* (``weekday_mean_h``,
-  ``weekend_mean_h``) and the summary mean/std.  These are float sums
-  whose grouping differs between the monolithic ``np.mean`` (pairwise
-  summation over one array) and the streamed per-shard partial sums, so
-  they agree only to relative tolerance :data:`MEAN_RTOL` (~1e-9 —
-  far below the 2-decimal rendering the reports use).  The property
-  suite (``tests/test_accumulators_property.py``) pins both behaviors.
+* every count — the per-machine Table 2 arrays, the Figure 7
+  ``(n_days, 24)`` matrix, the Figure 6 cumulative counts and landmark
+  brackets — is an integer sum, so every CDF value and landmark
+  fraction is the same integer quotient;
+* the interval-length sums are exact integers in units of 2**-1074
+  (:func:`~repro.analysis.stats.exact_sum`), and both paths divide them
+  once, correctly rounded (:func:`~repro.analysis.stats.exact_mean`), so
+  the weekday and weekend means agree to the last bit.
+
+The property suite (``tests/test_accumulators_property.py``) pins both.
 
 The Figure 6 CDF is kept as cumulative counts on :data:`FIG6_GRID`, the
 union of the two grids the renderers evaluate (the 49-point table grid
@@ -51,7 +45,7 @@ streamed CDF anywhere else raises, rather than silently interpolating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -60,25 +54,18 @@ from ..traces.records import EventColumns
 from ..units import DAY, HOUR, MINUTE
 from .causes import CauseBreakdown
 from .daily import DailyPattern
+from .stats import exact_mean, exact_sum
 
 __all__ = [
     "FIG6_GRID",
-    "MEAN_RTOL",
     "CauseAccumulator",
     "DailyPatternAccumulator",
     "FleetAccumulator",
     "FleetAnalysis",
     "IntervalCdfAccumulator",
     "StreamingIntervalDistribution",
-    "StreamingSummary",
-    "SummaryAccumulator",
     "interval_columns",
-    "merge_reduce",
 ]
-
-#: Documented relative tolerance for float-summed statistics (means,
-#: std); integer-counted statistics are exact.  See the module docstring.
-MEAN_RTOL = 1e-9
 
 #: The fixed evaluation grid (hours) for streamed Figure 6 CDFs: the
 #: union of the 49-point table grid and the 64-point chart grid, so both
@@ -89,28 +76,6 @@ FIG6_GRID: np.ndarray = np.union1d(
 FIG6_GRID.setflags(write=False)
 
 _FIVE_MIN_H = 5 * MINUTE / HOUR
-
-
-def merge_reduce(accumulators: Sequence["_MergeableT"]) -> "_MergeableT":
-    """Tree-reduce a sequence of accumulators with pairwise ``merge``.
-
-    Associativity is the whole point of the accumulator design, so the
-    reduction shape is free to be a balanced tree (what a parallel
-    reduction over workers produces) rather than a left fold.  Raises on
-    an empty sequence.
-    """
-    accs = list(accumulators)
-    if not accs:
-        raise ReproError("merge_reduce needs at least one accumulator")
-    while len(accs) > 1:
-        nxt = []
-        for i in range(0, len(accs) - 1, 2):
-            accs[i].merge(accs[i + 1])
-            nxt.append(accs[i])
-        if len(accs) % 2:
-            nxt.append(accs[-1])
-        accs = nxt
-    return accs[0]
 
 
 class CauseAccumulator:
@@ -179,13 +144,17 @@ class CauseAccumulator:
 
 
 class _SideCounts:
-    """One day type's streamed interval statistics (weekday or weekend)."""
+    """One day type's streamed interval statistics (weekday or weekend).
+
+    ``total_h`` is the exact sum of the interval lengths in hours, as an
+    integer count of 2**-1074 (:func:`~repro.analysis.stats.exact_sum`).
+    """
 
     __slots__ = ("n", "total_h", "cum", "c_2_4", "c_4_6", "c_lt_5min", "c_5min_2")
 
     def __init__(self, grid_size: int) -> None:
         self.n = 0
-        self.total_h = 0.0
+        self.total_h = 0
         self.cum = np.zeros(grid_size, dtype=np.int64)
         self.c_2_4 = 0
         self.c_4_6 = 0
@@ -196,9 +165,9 @@ class _SideCounts:
         if hours.size == 0:
             return
         self.n += int(hours.size)
-        self.total_h += float(hours.sum())
+        self.total_h += exact_sum(hours)
         # count(v <= x) per grid point — the same comparison Ecdf.at
-        # makes, so summed counts reproduce the monolithic CDF exactly.
+        # makes, so summed counts reproduce the per-event CDF exactly.
         self.cum += np.searchsorted(np.sort(hours), grid, side="right")
         self.c_2_4 += int(np.count_nonzero((hours >= 2) & (hours <= 4)))
         self.c_4_6 += int(np.count_nonzero((hours >= 4) & (hours <= 6)))
@@ -233,8 +202,8 @@ class StreamingIntervalDistribution:
     weekend_cum: np.ndarray
     weekday_n: int
     weekend_n: int
-    weekday_total_h: float
-    weekend_total_h: float
+    weekday_total_h: int
+    weekend_total_h: int
     weekday_brackets: dict
     weekend_brackets: dict
 
@@ -247,19 +216,19 @@ class StreamingIntervalDistribution:
         return self.weekend_n
 
     def landmarks(self) -> dict[str, float]:
-        """The Figure 6 landmark dict (same keys as the monolithic one).
+        """The Figure 6 landmark dict (same keys as the per-event one).
 
-        Fractions are exact integer-count quotients; the two means are
-        float sums (tolerance :data:`MEAN_RTOL` vs monolithic).  Empty
-        sides yield NaN, matching ``np.mean`` of an empty array.
+        Fractions are integer-count quotients and the two means exact
+        sums rounded once, so every value equals the per-event
+        reference's.  Empty sides yield NaN, as there.
         """
         wk_n, we_n = self.weekday_n, self.weekend_n
         both_n = wk_n + we_n
         nan = float("nan")
         below = self.weekday_brackets["lt_5min"] + self.weekend_brackets["lt_5min"]
         return {
-            "weekday_mean_h": self.weekday_total_h / wk_n if wk_n else nan,
-            "weekend_mean_h": self.weekend_total_h / we_n if we_n else nan,
+            "weekday_mean_h": exact_mean(self.weekday_total_h, wk_n),
+            "weekend_mean_h": exact_mean(self.weekend_total_h, we_n),
             "weekday_frac_2_4h": self.weekday_brackets["2_4"] / wk_n
             if wk_n
             else nan,
@@ -308,7 +277,7 @@ class StreamingIntervalDistribution:
 class IntervalCdfAccumulator:
     """Streams :func:`repro.analysis.intervals.interval_distribution`.
 
-    Per day type it keeps the interval count, the float sum of lengths,
+    Per day type it keeps the interval count, the exact sum of lengths,
     cumulative counts on :data:`FIG6_GRID`, and the landmark bracket
     counts — constant memory regardless of fleet size.
     """
@@ -319,12 +288,7 @@ class IntervalCdfAccumulator:
         self._weekend = _SideCounts(self.grid.size)
 
     def update_hours(self, hours: np.ndarray, weekend: np.ndarray) -> None:
-        """Fold in one shard's interval lengths (see :func:`interval_columns`).
-
-        ``hours`` must be in ``TraceDataset.all_intervals`` order
-        (machines ascending, intervals time-ordered within a machine) so
-        the float-summed side totals repeat the monolithic arithmetic.
-        """
+        """Fold in one unit's interval lengths (see :func:`interval_columns`)."""
         self._weekday.add(hours[~weekend], self.grid)
         self._weekend.add(hours[weekend], self.grid)
 
@@ -364,12 +328,12 @@ class DailyPatternAccumulator:
 
     The ``(n_days, 24)`` count matrix is integer-additive across shards
     (events are partitioned by machine), so the streamed pattern is
-    bit-identical to the monolithic one.
+    bit-identical to the per-event one.
     """
 
     def __init__(self, n_days: int, start_weekday: int) -> None:
         # n_days == 0 is legal: a sub-day trace has an empty (0, 24)
-        # matrix, exactly like the monolithic daily_pattern.
+        # matrix, exactly like the per-event daily_pattern.
         if n_days < 0:
             raise ReproError("DailyPatternAccumulator needs n_days >= 0")
         self.n_days = n_days
@@ -421,83 +385,6 @@ class DailyPatternAccumulator:
             dtype=bool,
         )
         return DailyPattern(counts=self.counts.copy(), is_weekend_day=weekend)
-
-
-@dataclass(frozen=True)
-class StreamingSummary:
-    """Mergeable summary of availability-interval lengths (hours).
-
-    The median of :class:`repro.analysis.stats.SummaryStats` is absent —
-    an exact median cannot be merged in constant memory; quantiles are
-    available to grid resolution via the streamed CDF instead.
-    """
-
-    n: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-
-
-class SummaryAccumulator:
-    """Chan-style mergeable mean/variance/min/max of interval lengths."""
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-        self.minimum = float("inf")
-        self.maximum = float("-inf")
-
-    def update_hours(self, hours: np.ndarray) -> None:
-        """Fold in one shard's interval lengths (see :func:`interval_columns`).
-
-        ``hours`` must be in ``TraceDataset.all_intervals`` order — the
-        per-shard mean/M2 are float reductions over the same array, so
-        the Chan merge sees the partials the monolithic order gives.
-        """
-        if hours.size == 0:
-            return
-        other = SummaryAccumulator()
-        other.n = int(hours.size)
-        other.mean = float(hours.mean())
-        other.m2 = float(((hours - other.mean) ** 2).sum())
-        other.minimum = float(hours.min())
-        other.maximum = float(hours.max())
-        self.merge(other)
-
-    def merge(self, other: "SummaryAccumulator") -> "SummaryAccumulator":
-        if other.n == 0:
-            return self
-        if self.n == 0:
-            self.n = other.n
-            self.mean = other.mean
-            self.m2 = other.m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            return self
-        # Chan et al. parallel update of (n, mean, M2).
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        self.mean += delta * other.n / n
-        self.m2 += other.m2 + delta * delta * self.n * other.n / n
-        self.n = n
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        return self
-
-    def finalize(self) -> StreamingSummary:
-        if self.n == 0:
-            nan = float("nan")
-            return StreamingSummary(n=0, mean=nan, std=nan, minimum=nan, maximum=nan)
-        std = (self.m2 / (self.n - 1)) ** 0.5 if self.n > 1 else 0.0
-        return StreamingSummary(
-            n=self.n,
-            mean=self.mean,
-            std=std,
-            minimum=self.minimum,
-            maximum=self.maximum,
-        )
 
 
 def interval_columns(cols: EventColumns) -> tuple[np.ndarray, np.ndarray]:
@@ -561,25 +448,21 @@ class FleetAnalysis:
     breakdown: CauseBreakdown
     intervals: StreamingIntervalDistribution
     pattern: DailyPattern
-    summary: StreamingSummary
     n_machines: int
     span: float
     start_weekday: int
 
 
 class FleetAccumulator:
-    """All four Section 5 accumulators folded together per shard."""
+    """The three Section 5 accumulators folded together per unit."""
 
     def __init__(self, n_machines: int, span: float, start_weekday: int) -> None:
-        from ..units import DAY
-
         self.n_machines = n_machines
         self.span = span
         self.start_weekday = start_weekday
         self.causes = CauseAccumulator(n_machines)
         self.intervals = IntervalCdfAccumulator()
         self.daily = DailyPatternAccumulator(int(span // DAY), start_weekday)
-        self.summary = SummaryAccumulator()
 
     @classmethod
     def for_fleet(cls, fleet) -> "FleetAccumulator":
@@ -590,10 +473,8 @@ class FleetAccumulator:
         """Fold in one shard (local machine ids; fleet offset given)
         straight from its (possibly memory-mapped) event columns.
 
-        No per-event objects are materialized; integer statistics equal
-        the monolithic analysis exactly, and interval lengths repeat its
-        float arithmetic in its order.  The availability intervals are
-        derived once and shared by the CDF and summary accumulators.
+        No per-event objects are materialized; every statistic equals
+        the per-event reference exactly.
         """
         if cols.span != self.span:
             raise ReproError("shard span disagrees with the fleet accumulator")
@@ -601,7 +482,6 @@ class FleetAccumulator:
         hours, weekend = interval_columns(cols)
         self.intervals.update_hours(hours, weekend)
         self.daily.update_columns(cols)
-        self.summary.update_hours(hours)
 
     def merge(self, other: "FleetAccumulator") -> "FleetAccumulator":
         if (
@@ -613,7 +493,6 @@ class FleetAccumulator:
         self.causes.merge(other.causes)
         self.intervals.merge(other.intervals)
         self.daily.merge(other.daily)
-        self.summary.merge(other.summary)
         return self
 
     def finalize(self) -> FleetAnalysis:
@@ -621,11 +500,8 @@ class FleetAccumulator:
             breakdown=self.causes.finalize(),
             intervals=self.intervals.finalize(),
             pattern=self.daily.finalize(),
-            summary=self.summary.finalize(),
             n_machines=self.n_machines,
             span=self.span,
             start_weekday=self.start_weekday,
         )
 
-
-_MergeableT = object  # documentation alias: anything with .merge(other)

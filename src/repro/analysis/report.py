@@ -6,7 +6,7 @@ regenerable textual counterpart (no plotting stack is assumed).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -16,7 +16,8 @@ from ..contention.sweeps import (
     Figure3Result,
     Figure4Result,
 )
-from ..units import fmt_duration
+from ..units import DAY, fmt_duration, is_weekend
+from .ascii import render_figure6_chart, render_figure7_chart
 from .causes import CauseBreakdown
 from .daily import DailyPattern
 from .intervals import IntervalDistribution
@@ -30,6 +31,9 @@ __all__ = [
     "render_table2",
     "render_figure6",
     "render_figure7",
+    "render_section5",
+    "render_section5_text",
+    "TOO_SHORT",
 ]
 
 
@@ -192,6 +196,74 @@ def render_figure7(pattern: DailyPattern) -> str:
             )
         )
     return "\n\n".join(blocks)
+
+
+#: Why a figure is left out of a trace too short to show it.
+TOO_SHORT = {
+    "figure6": "needs weekday and weekend availability intervals "
+    "(trace too short)",
+    "figure7": "needs both weekday and weekend days (trace too short)",
+}
+
+
+def render_section5(
+    breakdown: CauseBreakdown,
+    dist: IntervalDistribution,
+    pattern: DailyPattern,
+    *,
+    span: float,
+    start_weekday: int,
+) -> list[tuple[str, str, Optional[str]]]:
+    """Table 2, Figure 6 and Figure 7 as ``(name, title, text)``, in order.
+
+    ``text`` is what ``repro-fgcs analyze`` prints and ``report`` writes
+    to ``<name>.txt``.  It is ``None`` for a figure the trace is too short
+    to show — short traces may cover only one day type — and
+    :data:`TOO_SHORT` holds the reason.  ``dist`` is an
+    :class:`~repro.analysis.intervals.IntervalDistribution` or the
+    streamed distribution; both render alike.
+    """
+    figure6 = figure7 = None
+    if dist.weekday_count and dist.weekend_count:
+        figure6 = render_figure6(dist) + "\n\n" + render_figure6_chart(dist)
+    weekend_days = {
+        is_weekend(d * DAY, start_weekday) for d in range(int(span // DAY))
+    }
+    if weekend_days == {False, True}:
+        figure7 = "\n\n".join(
+            (
+                render_figure7(pattern),
+                render_figure7_chart(pattern, weekend=False),
+                render_figure7_chart(pattern, weekend=True),
+            )
+        )
+    return [
+        ("table2", "Table 2", render_table2(breakdown)),
+        ("figure6", "Figure 6", figure6),
+        ("figure7", "Figure 7", figure7),
+    ]
+
+
+def render_section5_text(
+    breakdown: CauseBreakdown,
+    dist: IntervalDistribution,
+    pattern: DailyPattern,
+    *,
+    span: float,
+    start_weekday: int,
+) -> str:
+    """The three artifacts as ``repro-fgcs analyze`` prints them.
+
+    :func:`render_section5`'s blocks in order, a skipped figure as its
+    reason.
+    """
+    sections = render_section5(
+        breakdown, dist, pattern, span=span, start_weekday=start_weekday
+    )
+    return "\n\n".join(
+        f"{title} skipped: {TOO_SHORT[name]}" if text is None else text
+        for name, title, text in sections
+    )
 
 
 def _fmt_range(r: tuple[int, int]) -> str:

@@ -9,7 +9,15 @@ import numpy as np
 
 from ..errors import ReproError
 
-__all__ = ["Ecdf", "ecdf", "bootstrap_ci", "summarize", "SummaryStats"]
+__all__ = [
+    "Ecdf",
+    "ecdf",
+    "bootstrap_ci",
+    "exact_mean",
+    "exact_sum",
+    "summarize",
+    "SummaryStats",
+]
 
 
 @dataclass(frozen=True)
@@ -48,6 +56,37 @@ def ecdf(data: Sequence[float] | np.ndarray) -> Ecdf:
     if np.any(~np.isfinite(arr)):
         raise ReproError("ecdf data must be finite")
     return Ecdf(values=arr, probs=np.arange(1, arr.size + 1) / arr.size)
+
+
+def exact_sum(values: Sequence[float] | np.ndarray) -> int:
+    """The exact sum of finite doubles, as an integer count of 2**-1074.
+
+    Every finite double is an integer multiple of 2**-1074, the smallest
+    subnormal, so in that unit the sum is an integer: nothing rounds, and
+    partial sums merge by integer ``+`` in any grouping and order.  Each
+    value splits (:func:`numpy.frexp`) into a 53-bit integer mantissa and
+    an exponent; the mantissas that share an exponent are summed as
+    Python ints and shifted into place once.
+    """
+    frac, exp = np.frexp(np.asarray(values, dtype=np.float64).ravel())
+    mant = (frac * 2.0**53).astype(np.int64)  # exact: |frac| < 1, 53 bits
+    total = 0
+    for e in np.unique(exp).tolist():
+        part = sum(mant[exp == e].tolist())
+        # A value is mant * 2**(e - 53), i.e. mant << (e + 1021) units.  A
+        # subnormal's negative shift is exact: its mantissa ends in zeros.
+        shift = e + 1021
+        total += part << shift if shift >= 0 else part >> -shift
+    return total
+
+
+def exact_mean(total: int, n: int) -> float:
+    """The mean of ``n`` values whose :func:`exact_sum` is ``total``.
+
+    One correctly rounded ``int / int`` division; NaN when ``n == 0``,
+    as ``np.mean`` of an empty array.
+    """
+    return total / (n << 1074) if n else float("nan")
 
 
 def bootstrap_ci(

@@ -1,6 +1,6 @@
-"""Drivers that run the mergeable accumulators over sharded fleets.
+"""Drivers that run the mergeable accumulators over traces.
 
-Every shard folds one way: its :class:`~repro.traces.records.EventColumns`
+Every trace folds one way: its :class:`~repro.traces.records.EventColumns`
 go through
 :meth:`~repro.analysis.accumulators.FleetAccumulator.update_columns`,
 with no per-event objects.  Two entry points:
@@ -12,20 +12,14 @@ with no per-event objects.  Two entry points:
   ``jobs=1`` this is a serial fold holding a single shard in memory
   (the constant-memory path the fleet-scaling bench asserts); with
   ``jobs>1`` each worker accumulates one shard and the parent merges the
-  partial accumulators **in shard order**, so the result is identical
-  for every ``jobs`` value (each shard is folded exactly once, and an
-  in-order merge replays the serial fold's float-addition order).
-* :func:`analyze_dataset_streaming` — the same fold over *virtual*
-  shards of an in-memory dataset: column slices
-  (:meth:`~repro.traces.records.EventColumns.slice_machines`) over the
-  machine partition :func:`repro.traces.shards.partition_machines`
-  produces.  Memory is already bounded by the loaded dataset; the value
-  is differential testing — the fold walks the exact accumulator code
-  path the sharded analysis uses.
+  partial accumulators in shard order.
+* :func:`analyze_columns` — one fold of one column unit: a flat trace
+  file (:func:`repro.traces.io.load_columns`) or a freshly generated
+  trace (:func:`repro.traces.generate.generate_dataset_columns`).
 
-Both return a :class:`~repro.analysis.accumulators.FleetAnalysis`; see
-:mod:`repro.analysis.accumulators` for the exactness contract vs the
-monolithic single-pass analyses.
+Both return a :class:`~repro.analysis.accumulators.FleetAnalysis` equal
+to the per-event reference for any partition and merge order; see
+:mod:`repro.analysis.accumulators` for the exactness contract.
 """
 
 from __future__ import annotations
@@ -35,41 +29,22 @@ from typing import Callable, Optional, Union
 
 from ..config import ExecutionConfig
 from ..obs.metrics import get_registry
-from ..traces.dataset import TraceDataset
 from ..traces.records import EventColumns
-from ..traces.shards import (
-    ShardedTraceDataset,
-    open_shards,
-    partition_machines,
-)
+from ..traces.shards import ShardedTraceDataset, open_shards
 
 from .accumulators import FleetAccumulator, FleetAnalysis
 
-__all__ = ["analyze_dataset_streaming", "analyze_shards"]
+__all__ = ["analyze_columns", "analyze_shards"]
 
 logger = logging.getLogger(__name__)
 
 ProgressFn = Callable[[int, int], None]
 
 
-def analyze_dataset_streaming(
-    dataset: TraceDataset, n_shards: Optional[int] = None
-) -> FleetAnalysis:
-    """Run the accumulator fold over virtual shards of a loaded dataset.
-
-    The partition is the on-disk one
-    (:func:`repro.traces.shards.partition_machines`); ``n_shards``
-    defaults to one shard per machine.
-    """
-    columns = EventColumns.from_dataset(dataset)
+def analyze_columns(columns: EventColumns) -> FleetAnalysis:
+    """Fold one column unit — a whole trace — through the accumulators."""
     acc = FleetAccumulator.for_fleet(columns)
-    n = columns.n_machines
-    ranges = partition_machines(n, n if n_shards is None else n_shards)
-    for lo, hi in ranges:
-        acc.update_columns(columns.slice_machines(lo, hi), lo)
-    logger.info(
-        "streamed %d machine(s) through %d virtual shard(s)", n, len(ranges)
-    )
+    acc.update_columns(columns)
     return acc.finalize()
 
 

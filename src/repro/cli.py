@@ -230,22 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument(
         "--check", action="store_true", help="also check the paper's landmarks"
     )
-    p_ana.add_argument(
-        "--streaming",
-        action="store_true",
-        help="compute the figures with the mergeable shard-by-shard "
-        "accumulators (constant memory on shard directories; results "
-        "match the monolithic path)",
-    )
-    p_ana.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with --streaming on a monolithic trace: partition into N "
-        "virtual shards (default: one per machine); ignored for shard "
-        "directories, which stream their own shards",
-    )
 
     p_thr = sub.add_parser(
         "thresholds",
@@ -740,104 +724,58 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from .analysis.ascii import render_figure6_chart, render_figure7_chart
-    from .analysis.report import render_figure6, render_figure7, render_table2
-    from .units import DAY, is_weekend
+    from .analysis import analyze_columns, analyze_shards, evaluate_landmarks
+    from .analysis.report import render_section5_text
+    from .traces import (
+        generate_dataset_columns,
+        is_shard_store,
+        load_columns,
+        open_shards,
+    )
 
-    # Both paths produce the same objects to render: the monolithic
-    # single-pass analyses, or the streamed mergeable accumulators
-    # (identical figures — exact for all counted statistics, see
-    # repro.analysis.accumulators).
-    if args.streaming:
-        from .analysis import analyze_dataset_streaming, analyze_shards
-        from .analysis import evaluate_landmarks
-        from .traces import is_shard_store, open_shards
-
-        trace = getattr(args, "trace", None)
-        if trace and is_shard_store(trace):
-            print(f"streaming sharded trace from {trace}", file=sys.stderr)
-            carrier = open_shards(trace)
-            analysis = analyze_shards(
-                carrier,
-                execution=_config_from(args).execution,
-                progress=_progress(args, "analyze", unit="shard"),
-            )
+    # Every source folds its event columns once through the mergeable
+    # accumulators (repro.analysis.accumulators): a shard store one
+    # shard at a time, a flat file or a generated trace as one unit.
+    trace = args.trace
+    if trace and is_shard_store(trace):
+        print(f"streaming sharded trace from {trace}", file=sys.stderr)
+        carrier = open_shards(trace)
+        analysis = analyze_shards(
+            carrier,
+            execution=_execution_from(args),
+            progress=_progress(args, "analyze", unit="shard"),
+        )
+    else:
+        if trace:
+            print(f"loading trace from {trace}", file=sys.stderr)
+            carrier = load_columns(trace)
         else:
-            carrier = _load_or_generate(args)
-            analysis = analyze_dataset_streaming(carrier, args.shards)
-        breakdown = analysis.breakdown
-        dist = analysis.intervals
-        span, start_weekday = analysis.span, analysis.start_weekday
-
-        def pattern_fn():
-            return analysis.pattern
-
-        def checks_fn():
-            return evaluate_landmarks(
-                breakdown,
-                dist,
-                analysis.pattern,
-                span=span,
-                n_machines=analysis.n_machines,
+            print(
+                "generating trace (use 'generate' to save one for reuse)",
+                file=sys.stderr,
             )
-
-    else:
-        from .analysis import (
-            cause_breakdown,
-            check_paper_landmarks,
-            daily_pattern,
-            interval_distribution,
+            carrier = generate_dataset_columns(
+                _config_from(args), progress=_progress(args, args.command)
+            )
+        analysis = analyze_columns(carrier)
+    print(
+        render_section5_text(
+            analysis.breakdown,
+            analysis.intervals,
+            analysis.pattern,
+            span=analysis.span,
+            start_weekday=analysis.start_weekday,
         )
-
-        carrier = _load_or_generate(args)
-        dataset = carrier
-        breakdown = cause_breakdown(dataset)
-        dist = interval_distribution(dataset)
-        span, start_weekday = dataset.span, dataset.start_weekday
-
-        def pattern_fn():
-            return daily_pattern(dataset)
-
-        def checks_fn():
-            return check_paper_landmarks(dataset)
-
-    print(render_table2(breakdown))
-    print()
-    # Short traces may cover only one day type; render what exists so a
-    # 2-day smoke run still produces Table 2 and a valid manifest.
-    n_days = int(span // DAY)
-    has_weekend = any(
-        is_weekend(d * DAY, start_weekday) for d in range(n_days)
     )
-    has_weekday = any(
-        not is_weekend(d * DAY, start_weekday) for d in range(n_days)
-    )
-    if dist.weekday_count and dist.weekend_count:
-        print(render_figure6(dist))
-        print()
-        print(render_figure6_chart(dist))
-        print()
-    else:
-        print(
-            "Figure 6 skipped: needs weekday and weekend availability "
-            "intervals (trace too short)"
-        )
-        print()
-    if has_weekday and has_weekend:
-        pattern = pattern_fn()
-        print(render_figure7(pattern))
-        print()
-        print(render_figure7_chart(pattern, weekend=False))
-        print()
-        print(render_figure7_chart(pattern, weekend=True))
-    else:
-        print(
-            "Figure 7 skipped: needs both weekday and weekend days "
-            "(trace too short)"
-        )
     if args.check:
         print()
-        checks = checks_fn()
+        checks = evaluate_landmarks(
+            analysis.breakdown,
+            analysis.intervals,
+            analysis.pattern,
+            span=analysis.span,
+            n_machines=analysis.n_machines,
+        )
         for c in checks:
             print(c)
         if not all(c.ok for c in checks):
@@ -1304,17 +1242,18 @@ def _report_artifacts(args: argparse.Namespace) -> int:
     from .analysis import (
         capacity_report,
         cause_breakdown,
-        check_paper_landmarks,
         daily_pattern,
+        evaluate_landmarks,
         interval_distribution,
         predictability_report,
         weekday_profile,
     )
-    from .analysis.ascii import render_figure6_chart, render_figure7_chart
     from .analysis.fits import fit_interval_distributions
-    from .analysis.report import render_figure6, render_figure7, render_table2
-    from .units import DAY, is_weekend
+    from .analysis.report import TOO_SHORT, render_section5
 
+    # The per-event reference, not the column fold: the fits, hazard,
+    # predictability and capacity artifacts need the raw interval arrays
+    # and event objects.
     dataset = _load_or_generate(args)
     out = Path(args.target)
     out.mkdir(parents=True, exist_ok=True)
@@ -1323,42 +1262,20 @@ def _report_artifacts(args: argparse.Namespace) -> int:
         (out / name).write_text(text + "\n", encoding="utf-8")
         print(f"wrote {out / name}")
 
-    write("table2.txt", render_table2(cause_breakdown(dataset)))
+    breakdown = cause_breakdown(dataset)
     dist = interval_distribution(dataset)
-    # Short traces may cover only one day type; write what exists so a
-    # 2-day smoke run still produces Table 2 and the landmark report.
-    n_days = int(dataset.span // DAY)
-    has_weekend = any(
-        is_weekend(d * DAY, dataset.start_weekday) for d in range(n_days)
-    )
-    has_weekday = any(
-        not is_weekend(d * DAY, dataset.start_weekday) for d in range(n_days)
-    )
-    if dist.weekday_count and dist.weekend_count:
-        write(
-            "figure6.txt",
-            render_figure6(dist) + "\n\n" + render_figure6_chart(dist),
-        )
-    else:
-        print(
-            "figure6.txt skipped: needs weekday and weekend availability "
-            "intervals (trace too short)"
-        )
-    if has_weekday and has_weekend:
-        pattern = daily_pattern(dataset)
-        write(
-            "figure7.txt",
-            render_figure7(pattern)
-            + "\n\n"
-            + render_figure7_chart(pattern, weekend=False)
-            + "\n\n"
-            + render_figure7_chart(pattern, weekend=True),
-        )
-    else:
-        print(
-            "figure7.txt skipped: needs both weekday and weekend days "
-            "(trace too short)"
-        )
+    pattern = daily_pattern(dataset)
+    for name, _, text in render_section5(
+        breakdown,
+        dist,
+        pattern,
+        span=dataset.span,
+        start_weekday=dataset.start_weekday,
+    ):
+        if text is None:
+            print(f"{name}.txt skipped: {TOO_SHORT[name]}")
+        else:
+            write(f"{name}.txt", text)
     if dist.weekday_count:
         write(
             "interval_fits.txt",
@@ -1375,7 +1292,9 @@ def _report_artifacts(args: argparse.Namespace) -> int:
         write("weekday_profile.txt", weekday_profile(dataset).render())
     if dataset.hourly_load is not None:
         write("capacity.txt", capacity_report(dataset).summary())
-    checks = check_paper_landmarks(dataset)
+    checks = evaluate_landmarks(
+        breakdown, dist, pattern, span=dataset.span, n_machines=dataset.n_machines
+    )
     write("landmarks.txt", "\n".join(str(c) for c in checks))
     return _partial_results(dataset) or (0 if all(c.ok for c in checks) else 1)
 

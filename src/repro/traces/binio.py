@@ -38,7 +38,6 @@ harness hold for binary traces exactly as for JSONL.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from pathlib import Path
 from typing import BinaryIO, Optional, Union
@@ -234,11 +233,3 @@ def open_columns(
         metadata=dict(header.get("metadata", {})),
     )
     return header, columns, hourly
-
-
-def file_size(path: PathLike) -> int:
-    """Size in bytes, 0 when the file is missing (telemetry helper)."""
-    try:
-        return os.stat(path).st_size
-    except OSError:
-        return 0

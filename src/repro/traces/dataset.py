@@ -9,7 +9,6 @@ import numpy as np
 
 from ..core.events import AvailabilityInterval, UnavailabilityEvent
 from ..core.intervals import availability_intervals
-from ..core.states import AvailState
 from ..errors import TraceError
 from ..units import DAY, HOUR, is_weekend
 
@@ -114,9 +113,6 @@ class TraceDataset:
     def events_for(self, machine_id: int) -> list[UnavailabilityEvent]:
         """One machine's events, time-ordered."""
         return [e for e in self.events if e.machine_id == machine_id]
-
-    def events_by_state(self, state: AvailState) -> list[UnavailabilityEvent]:
-        return [e for e in self.events if e.state is state]
 
     # -- intervals ----------------------------------------------------------------
 

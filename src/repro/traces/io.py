@@ -123,7 +123,7 @@ def _save_columns_jsonl(columns, path: Path) -> None:
     """The JSONL writer: one header line, then one line per event row.
 
     ``.tolist()`` yields native Python scalars, so ``json.dumps`` renders
-    shortest-repr floats, and NaN means become ``null``.
+    shortest-repr floats, and NaN means and hourly loads become ``null``.
     """
     import math
 
@@ -138,7 +138,10 @@ def _save_columns_jsonl(columns, path: Path) -> None:
         "hourly_load": (
             None
             if hourly is None
-            else [[_none_if_nan(x) for x in row] for row in hourly]
+            else [
+                [None if math.isnan(x) else x for x in row]
+                for row in np.asarray(hourly, dtype=np.float64).tolist()
+            ]
         ),
     }
     events = columns.events
@@ -339,7 +342,3 @@ def load_events_csv(
         span=span,
         start_weekday=start_weekday,
     )
-
-
-def _none_if_nan(x: float) -> float | None:
-    return None if np.isnan(x) else float(x)

@@ -59,6 +59,39 @@ def medium_dataset():
     return generate_dataset(cfg)
 
 
+@pytest.fixture(scope="session")
+def reference_stdout():
+    """``analyze``'s stdout for a dataset, from the per-event reference.
+
+    ``cause_breakdown``, ``interval_distribution`` and ``daily_pattern``
+    rendered through the shared Section 5 text builder, plus the
+    ``check_paper_landmarks`` lines when ``check`` is set: the text the
+    column fold must print byte for byte.
+    """
+    from repro.analysis import (
+        cause_breakdown,
+        check_paper_landmarks,
+        daily_pattern,
+        interval_distribution,
+    )
+    from repro.analysis.report import render_section5_text
+
+    def render(dataset, *, check: bool = False) -> str:
+        text = render_section5_text(
+            cause_breakdown(dataset),
+            interval_distribution(dataset),
+            daily_pattern(dataset),
+            span=dataset.span,
+            start_weekday=dataset.start_weekday,
+        )
+        lines = [text]
+        if check:
+            lines += ["", *map(str, check_paper_landmarks(dataset))]
+        return "\n".join(lines) + "\n"
+
+    return render
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(123)

@@ -1,7 +1,7 @@
 """Capacity harness: every scenario generates + analyzes under a budget.
 
 For each registered scenario, a child process generates a reduced fleet
-(sharded, binary) and streaming-analyzes it, then reports its own peak
+(sharded, binary) and analyzes it shard by shard, then reports its own peak
 RSS and wall-clock time.  The parent asserts the run succeeded, stayed
 under a generous RSS ceiling, and finished inside the wall-clock budget.
 The ceilings are smoke bounds for shared CI hardware, not perf numbers —
@@ -26,7 +26,7 @@ from repro.scenarios import scenario_names
 FRAME = {"machines": "4", "days": "7", "seed": "42"}
 #: Peak-RSS ceiling for the child (python + numpy baseline is ~60 MiB).
 RSS_CEILING_BYTES = 512 * (1 << 20)
-#: Wall-clock budget per scenario for generate + streaming analyze.
+#: Wall-clock budget per scenario for generate + analyze.
 WALL_BUDGET_S = 120.0
 
 #: The scenarios this harness covers — pinned to the registry below.
@@ -45,7 +45,7 @@ rc_gen = main([
     "--shards", "2", "--format", "binary", out_dir,
 ])
 rc_ana = main([
-    "analyze", "--trace", out_dir, "--streaming",
+    "analyze", "--trace", out_dir,
     "--machines", "{machines}", "--days", "{days}", "--seed", "{seed}",
 ])
 wall_s = time.perf_counter() - t0

@@ -2,21 +2,23 @@
 
 The contract under test, for *any* fleet, *any* contiguous shard
 partition (including shards holding a single machine or no events at
-all), and *any* merge order:
+all), and *any* merge order, the fold equals the per-event reference by
+``==``:
 
-* Table 2 cause counts and the Figure 7 hourly histogram equal the
-  monolithic analysis **exactly** — they are sums of integer counts, so
-  neither the partition nor the merge order can perturb them;
-* Figure 6 CDF values are exact at every fixed-grid point (they are
-  integer-count quotients with a partition-independent denominator);
-* the interval means (and the streamed summary statistics) are float
-  sums, so they carry a documented tolerance
-  (:data:`repro.analysis.accumulators.MEAN_RTOL`) instead of exact
-  equality — reassociating float additions across merges is allowed to
-  move the last bits.
+* Table 2 cause counts and the Figure 7 hourly histogram — sums of
+  integer counts, so neither the partition nor the merge order can
+  perturb them;
+* Figure 6 CDF values at every fixed-grid point and the landmark
+  fractions — integer-count quotients with a partition-independent
+  denominator;
+* the interval means — exact integer sums in units of 2**-1074,
+  rounded once by the same helper on both paths, so they too are equal
+  to the last bit (and equal to the correctly rounded mean computed
+  with :class:`fractions.Fraction`, independent of both paths).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,13 +30,9 @@ from repro.analysis import (
     daily_pattern,
     interval_distribution,
 )
-from repro.analysis.accumulators import (
-    FIG6_GRID,
-    MEAN_RTOL,
-    FleetAccumulator,
-    merge_reduce,
-)
-from repro.analysis.streaming import analyze_dataset_streaming
+from repro.analysis.accumulators import FIG6_GRID, FleetAccumulator
+from repro.analysis.stats import exact_mean, exact_sum
+from repro.analysis.streaming import analyze_columns
 from repro.core.events import UnavailabilityEvent
 from repro.core.states import AvailState
 from repro.traces.dataset import TraceDataset
@@ -42,8 +40,8 @@ from repro.traces.records import EventColumns
 from repro.traces.shards import partition_machines
 from repro.units import DAY
 
-# The monolithic landmarks take np.mean of empty sides by design (NaN);
-# the property suite exercises those fleets on purpose.
+# The per-event landmark fractions take np.mean of empty sides by design
+# (NaN); the property suite exercises those fleets on purpose.
 pytestmark = [
     pytest.mark.filterwarnings("ignore:Mean of empty slice"),
     pytest.mark.filterwarnings("ignore:invalid value encountered"),
@@ -126,16 +124,13 @@ def _fold(fleet, ranges, order):
     return acc.finalize()
 
 
-def _assert_landmarks_close(streamed: dict, monolithic: dict) -> None:
+def _assert_landmarks_equal(streamed: dict, monolithic: dict) -> None:
     assert streamed.keys() == monolithic.keys()
     for key, expected in monolithic.items():
         got = streamed[key]
         if math.isnan(expected):
             assert math.isnan(got), key
-        elif key.endswith("_mean_h"):
-            assert got == pytest.approx(expected, rel=MEAN_RTOL), key
         else:
-            # Fractions are integer-count quotients: exactly equal.
             assert got == expected, key
 
 
@@ -173,43 +168,78 @@ class TestMergeEquivalence:
             _, swk, swe = streamed.cdf_series(FIG6_GRID)
             np.testing.assert_array_equal(swk, wk)
             np.testing.assert_array_equal(swe, we)
-        _assert_landmarks_close(streamed.landmarks(), dist.landmarks())
+        _assert_landmarks_equal(streamed.landmarks(), dist.landmarks())
 
     @settings(max_examples=20, deadline=None)
-    @given(sharded_fleets())
-    def test_tree_merge_equals_linear_fold(self, case):
-        fleet, ranges, _ = case
-        linear = _fold(fleet, ranges, range(len(ranges)))
-        tree = merge_reduce(_partials(fleet, ranges)).finalize()
-        np.testing.assert_array_equal(
-            tree.breakdown.totals, linear.breakdown.totals
-        )
-        np.testing.assert_array_equal(tree.pattern.counts, linear.pattern.counts)
-        assert tree.intervals.weekday_n == linear.intervals.weekday_n
-        assert tree.intervals.weekend_n == linear.intervals.weekend_n
-        np.testing.assert_array_equal(
-            tree.intervals.weekday_cum, linear.intervals.weekday_cum
-        )
-        np.testing.assert_array_equal(
-            tree.intervals.weekend_cum, linear.intervals.weekend_cum
-        )
-        assert tree.summary.n == linear.summary.n
-        if linear.summary.n:
-            assert tree.summary.mean == pytest.approx(
-                linear.summary.mean, rel=MEAN_RTOL
-            )
-
-    @settings(max_examples=20, deadline=None)
-    @given(fleets(), st.integers(min_value=1, max_value=8))
-    def test_streaming_entrypoint_matches_monolithic(self, fleet, n_shards):
-        analysis = analyze_dataset_streaming(fleet, n_shards)
+    @given(fleets())
+    def test_streaming_entrypoint_matches_monolithic(self, fleet):
+        analysis = analyze_columns(EventColumns.from_dataset(fleet))
         np.testing.assert_array_equal(
             analysis.breakdown.totals, cause_breakdown(fleet).totals
         )
         np.testing.assert_array_equal(
             analysis.pattern.counts, daily_pattern(fleet).counts
         )
-        _assert_landmarks_close(
+        _assert_landmarks_equal(
             analysis.intervals.landmarks(),
             interval_distribution(fleet).landmarks(),
         )
+
+
+#: Finite non-negative doubles, the extremes included: the smallest
+#: subnormal and values near the top of the range.
+_DOUBLES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e300]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def split_doubles(draw):
+    """A list of doubles, a split of it into parts, and a merge order."""
+    xs = draw(st.lists(_DOUBLES, max_size=40))
+    cuts = sorted(draw(st.lists(st.integers(0, len(xs)), max_size=6)))
+    bounds = [0, *cuts, len(xs)]
+    parts = [xs[a:b] for a, b in zip(bounds, bounds[1:])]
+    order = draw(st.permutations(range(len(parts))))
+    return xs, parts, order
+
+
+class TestExactSum:
+    @settings(max_examples=200, deadline=None)
+    @given(split_doubles())
+    def test_equals_fraction_sum_under_any_split_and_order(self, case):
+        xs, parts, order = case
+        expected = sum(map(Fraction, xs), Fraction(0))
+        whole = exact_sum(np.array(xs, dtype=float))
+        assert Fraction(whole, 2**1074) == expected
+        merged = 0
+        for index in order:
+            merged += exact_sum(np.array(parts[index], dtype=float))
+        assert merged == whole
+        if xs:
+            assert exact_mean(whole, len(xs)) == float(expected / len(xs))
+        else:
+            assert math.isnan(exact_mean(whole, 0))
+
+
+class TestExactMeans:
+    """The fold's means equal the per-event reference's, and both equal
+    the correctly rounded mean."""
+
+    def test_fold_equals_reference_on_medium_dataset(self, medium_dataset):
+        n = medium_dataset.n_machines
+        ranges = partition_machines(n, n)  # one machine per shard
+        analysis = _fold(medium_dataset, ranges, range(n))
+        reference = interval_distribution(medium_dataset).landmarks()
+        assert analysis.intervals.landmarks() == reference
+
+    def test_reference_means_are_correctly_rounded(self, small_dataset):
+        dist = interval_distribution(small_dataset)
+        landmarks = dist.landmarks()
+        for key, hours in (
+            ("weekday_mean_h", dist.weekday_hours),
+            ("weekend_mean_h", dist.weekend_hours),
+        ):
+            exact = sum(map(Fraction, hours.tolist())) / hours.size
+            assert landmarks[key] == float(exact), key

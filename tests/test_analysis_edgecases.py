@@ -1,4 +1,4 @@
-"""Edge cases the streaming and monolithic analyses must agree on.
+"""Edge cases the column fold and the per-event reference must agree on.
 
 Degenerate fleets the property suite may not pin down explicitly: an
 event-free dataset, a machine with zero events inside a busy fleet, a
@@ -17,12 +17,13 @@ from repro.analysis import (
     daily_pattern,
     interval_distribution,
 )
-from repro.analysis.streaming import analyze_dataset_streaming
+from repro.analysis.streaming import analyze_columns
 from repro.core.events import UnavailabilityEvent
 from repro.core.states import AvailState
 from repro.errors import ReproError
 from repro.traces.dataset import TraceDataset
 from repro.traces.io import save_dataset
+from repro.traces.records import EventColumns
 from repro.units import DAY, HOUR
 
 pytestmark = [
@@ -48,10 +49,14 @@ def _event(machine, start, end, state=AvailState.S4) -> UnavailabilityEvent:
     )
 
 
+def _fold(fleet: TraceDataset):
+    return analyze_columns(EventColumns.from_dataset(fleet))
+
+
 class TestEmptyDataset:
     def test_streaming_finalizes_with_empty_figures(self):
         fleet = _fleet([], n_machines=2, span=7 * DAY)
-        analysis = analyze_dataset_streaming(fleet)
+        analysis = _fold(fleet)
         assert analysis.breakdown.totals.sum() == 0
         # The only availability interval per machine is right-censored,
         # so Figure 6 has nothing on either side.
@@ -61,12 +66,11 @@ class TestEmptyDataset:
         with pytest.raises(ReproError):
             analysis.intervals.cdf_series()
         assert analysis.pattern.counts.sum() == 0
-        assert analysis.summary.n == 0
 
     def test_matches_monolithic(self):
         fleet = _fleet([], n_machines=2, span=7 * DAY)
         dist = interval_distribution(fleet)
-        analysis = analyze_dataset_streaming(fleet)
+        analysis = _fold(fleet)
         assert analysis.intervals.weekday_count == dist.weekday_count
         assert analysis.intervals.weekend_count == dist.weekend_count
         np.testing.assert_array_equal(
@@ -81,7 +85,7 @@ class TestZeroEventMachine:
             _event(2, 5 * HOUR, 6 * HOUR),
         ]
         fleet = _fleet(events, n_machines=3, span=7 * DAY)
-        analysis = analyze_dataset_streaming(fleet, 3)
+        analysis = _fold(fleet)
         expected = cause_breakdown(fleet)
         np.testing.assert_array_equal(analysis.breakdown.totals, expected.totals)
         assert analysis.breakdown.totals[1] == 0
@@ -95,27 +99,28 @@ class TestSubDayTrace:
         fleet = _fleet(
             [_event(0, 1 * HOUR, 2 * HOUR)], n_machines=1, span=6 * HOUR
         )
-        analysis = analyze_dataset_streaming(fleet)
+        analysis = _fold(fleet)
         pattern = daily_pattern(fleet)
         assert pattern.counts.shape[0] == 0
         np.testing.assert_array_equal(analysis.pattern.counts, pattern.counts)
         assert analysis.breakdown.totals.sum() == 1
 
-    def test_cli_skips_unrenderable_figures(self, tmp_path, capsys):
+    def test_cli_skips_unrenderable_figures(
+        self, tmp_path, capsys, reference_stdout
+    ):
         """A sub-day trace (no weekend side, zero whole days) renders
-        Table 2 and explains why Figures 6 and 7 are absent — on both the
-        monolithic and the streaming path, identically."""
+        Table 2 and explains why Figures 6 and 7 are absent — exactly as
+        the per-event reference renders it."""
         fleet = _fleet(
             [_event(0, 1 * HOUR, 2 * HOUR)], n_machines=1, span=6 * HOUR
         )
         trace = tmp_path / "short.jsonl"
         save_dataset(fleet, trace)
         assert cli.main(["analyze", "--trace", str(trace)]) == 0
-        mono = capsys.readouterr().out
-        assert "Figure 6 skipped" in mono
-        assert "Figure 7 skipped" in mono
-        assert cli.main(["analyze", "--trace", str(trace), "--streaming"]) == 0
-        assert capsys.readouterr().out == mono
+        out = capsys.readouterr().out
+        assert "Figure 6 skipped" in out
+        assert "Figure 7 skipped" in out
+        assert out == reference_stdout(fleet)
 
 
 class TestWeekendBoundaryInterval:
@@ -137,7 +142,7 @@ class TestWeekendBoundaryInterval:
         assert dist.weekday_count == 1
         assert dist.weekend_count == 1
         assert dist.weekday_hours.tolist() == [14.0]
-        streamed = analyze_dataset_streaming(fleet).intervals
+        streamed = _fold(fleet).intervals
         assert streamed.weekday_count == 1
         assert streamed.weekend_count == 1
         _, wk, we = dist.cdf_series()

@@ -20,6 +20,14 @@ class TestParser:
         assert args.machines == 3
         assert args.days == 5
 
+    @pytest.mark.parametrize("flag", [["--streaming"], ["--shards", "2"]])
+    def test_analyze_has_no_mode_flags(self, flag, capsys):
+        """``analyze`` has one path and no flag that picks another."""
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["analyze", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_config_from_args(self):
         args = cli.build_parser().parse_args(
             ["generate", "x", "--machines", "2", "--days", "3", "--seed", "9"]
@@ -109,6 +117,31 @@ class TestCommands:
         assert "oracle" in text and "random" in text
 
 
+#: Runs ``analyze`` in a fresh interpreter whose ``UnavailabilityEvent``
+#: counts its instances; the last stdout line reports the count.
+_COUNTING_ANALYZE = """
+import json
+import sys
+
+from repro.core.events import UnavailabilityEvent
+
+built = []
+
+
+def counting_new(cls, *args, **kwargs):
+    built.append(cls)
+    return object.__new__(cls)
+
+
+UnavailabilityEvent.__new__ = staticmethod(counting_new)
+
+from repro.cli import main
+
+rc = main(["analyze", "--trace", sys.argv[1]])
+print(json.dumps({"events_built": len(built), "rc": rc}))
+"""
+
+
 class TestFormats:
     def test_generate_binary_format(self, tmp_path, capsys):
         from repro.traces import detect_format, load_dataset
@@ -158,7 +191,9 @@ class TestFormats:
         assert back.read_bytes() == jsonl.read_bytes()
         assert load_dataset(binary).equals(load_dataset(jsonl))
 
-    def test_convert_shard_store(self, tmp_path, capsys):
+    def test_convert_shard_store(self, tmp_path, capsys, reference_stdout):
+        from repro.traces.shards import open_shards
+
         src = tmp_path / "store"
         cli.main(
             ["generate", str(src), "--machines", "4", "--days", "7",
@@ -170,12 +205,45 @@ class TestFormats:
         assert rc == 0
         capsys.readouterr()
 
-        mono = cli.main(["analyze", "--trace", str(src), "--streaming"])
+        rc_src = cli.main(["analyze", "--trace", str(src)])
         text_src = capsys.readouterr().out
-        rc = cli.main(["analyze", "--trace", str(dst), "--streaming"])
+        rc = cli.main(["analyze", "--trace", str(dst)])
         text_dst = capsys.readouterr().out
-        assert rc == mono == 0
+        assert rc == rc_src == 0
         assert text_dst == text_src
+        assert text_src == reference_stdout(open_shards(src).load_full())
+
+    def test_analyze_builds_no_event_objects(
+        self, small_dataset, tmp_path, reference_stdout
+    ):
+        """``analyze --trace t.bin`` folds the file's columns: a fresh
+        interpreter that counts ``UnavailabilityEvent`` instances builds
+        none, and prints the per-event reference's text."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.traces.io import save_dataset
+
+        path = tmp_path / "t.bin"
+        save_dataset(small_dataset, path)
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _COUNTING_ANALYZE, str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        text, _, last = proc.stdout.rstrip("\n").rpartition("\n")
+        assert json.loads(last) == {"events_built": 0, "rc": 0}
+        assert text + "\n" == reference_stdout(small_dataset)
 
     def test_convert_writes_manifest_io_section(self, tmp_path, capsys):
         import json

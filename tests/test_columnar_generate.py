@@ -338,7 +338,11 @@ class TestCacheInterchange:
 
 
 class TestCliUnchanged:
-    def test_streaming_analyze_matches_monolithic(self, tmp_path, capsys):
+    def test_streaming_analyze_matches_monolithic(
+        self, tmp_path, capsys, reference_stdout
+    ):
+        from repro.traces import load_dataset
+
         mono = tmp_path / "trace.jsonl"
         shards = tmp_path / "shards"
         common = ["--machines", "3", "--days", "7", "--seed", "42"]
@@ -350,9 +354,10 @@ class TestCliUnchanged:
 
         assert cli.main(["analyze", "--trace", str(mono)]) == 0
         mono_text = capsys.readouterr().out
-        assert cli.main(["analyze", "--trace", str(shards), "--streaming"]) == 0
+        assert cli.main(["analyze", "--trace", str(shards)]) == 0
         streaming_text = capsys.readouterr().out
         assert streaming_text == mono_text
+        assert mono_text == reference_stdout(load_dataset(mono))
         assert "Table 2" in mono_text
 
     def test_manifest_v5_generation_section(self, tmp_path):

@@ -101,9 +101,10 @@ class TestGoldenFigures:
 
 
 class TestStreamingDifferential:
-    """``analyze`` and ``analyze --streaming`` render byte-identical text
-    on the golden seed-42 testbed — the streaming path needs no goldens
-    of its own because it must match the monolithic rendering exactly.
+    """``analyze`` folds every source through the column accumulators and
+    prints, byte for byte, the per-event reference rendered through the
+    shared text builder — on the golden seed-42 testbed, so the fold
+    needs no goldens of its own.
     """
 
     def _analyze(self, capsys, *argv):
@@ -112,47 +113,39 @@ class TestStreamingDifferential:
         rc = cli.main(["analyze", "--check", *argv])
         return rc, capsys.readouterr().out
 
-    def test_virtual_shards_render_identically(
-        self, small_dataset, tmp_path, capsys
+    @staticmethod
+    def _reference(dataset, reference_stdout):
+        from repro.analysis import check_paper_landmarks
+
+        ok = all(c.ok for c in check_paper_landmarks(dataset))
+        return (0 if ok else 1), reference_stdout(dataset, check=True)
+
+    def test_flat_trace_renders_reference(
+        self, small_dataset, tmp_path, capsys, reference_stdout
     ):
         from repro.traces.io import save_dataset
 
         trace = tmp_path / "trace.jsonl"
         save_dataset(small_dataset, trace)
-        mono_rc, mono = self._analyze(capsys, "--trace", str(trace))
-        for n_shards in ("1", "3"):
-            rc, out = self._analyze(
-                capsys,
-                "--trace",
-                str(trace),
-                "--streaming",
-                "--shards",
-                n_shards,
-            )
-            assert out == mono
-            assert rc == mono_rc
+        rc, out = self._analyze(capsys, "--trace", str(trace))
+        assert (rc, out) == self._reference(small_dataset, reference_stdout)
 
     def test_shard_store_renders_identically(
-        self, small_dataset, tmp_path, capsys
+        self, small_dataset, tmp_path, capsys, reference_stdout
     ):
-        from repro.traces.io import save_dataset
         from repro.traces.shards import write_shards
 
-        trace = tmp_path / "trace.jsonl"
-        save_dataset(small_dataset, trace)
-        mono_rc, mono = self._analyze(capsys, "--trace", str(trace))
         store = tmp_path / "store"
         write_shards(small_dataset, store, 3)
-        rc, out = self._analyze(capsys, "--trace", str(store), "--streaming")
-        assert out == mono
-        assert rc == mono_rc
+        rc, out = self._analyze(capsys, "--trace", str(store))
+        assert (rc, out) == self._reference(small_dataset, reference_stdout)
 
 
 class TestFormatDifferential:
     """``analyze`` renders byte-identical text from the binary trace
-    format — monolithic and streamed — so the binary path needs no
-    goldens of its own either (and a binary round trip reproduces the
-    pinned goldens exactly).
+    format — flat and sharded — so the binary path needs no goldens of
+    its own either (and a binary round trip reproduces the pinned goldens
+    exactly).
     """
 
     _analyze = TestStreamingDifferential._analyze
@@ -171,19 +164,16 @@ class TestFormatDifferential:
         assert rc_b == rc_j
 
     def test_binary_shard_store_renders_identically(
-        self, small_dataset, tmp_path, capsys
+        self, small_dataset, tmp_path, capsys, reference_stdout
     ):
-        from repro.traces.io import save_dataset
         from repro.traces.shards import write_shards
 
-        trace = tmp_path / "t.jsonl"
-        save_dataset(small_dataset, trace)
-        mono_rc, mono = self._analyze(capsys, "--trace", str(trace))
         store = tmp_path / "store"
         write_shards(small_dataset, store, 3, format="binary")
-        rc, out = self._analyze(capsys, "--trace", str(store), "--streaming")
-        assert out == mono
-        assert rc == mono_rc
+        rc, out = self._analyze(capsys, "--trace", str(store))
+        assert (rc, out) == TestStreamingDifferential._reference(
+            small_dataset, reference_stdout
+        )
 
     def test_binary_round_trip_matches_goldens(
         self, small_dataset, tmp_path, update_goldens

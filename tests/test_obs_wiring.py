@@ -485,7 +485,6 @@ class TestNeutralityDifferential:
             *TINY,
             "--trace",
             str(shards),
-            "--streaming",
             "--jobs",
             jobs,
         ]
