@@ -38,8 +38,10 @@ class DailyPattern:
         return self.counts[self.is_weekend_day == weekend]
 
     def mean_profile(self, *, weekend: bool) -> np.ndarray:
-        """Mean occurrences per hour of day (the Figure 7 bars)."""
-        return self._select(weekend).mean(axis=0)
+        """Mean occurrences per hour of day (the Figure 7 bars); NaN when
+        the trace holds no day of that type."""
+        sel = self._select(weekend)
+        return sel.mean(axis=0) if len(sel) else np.full(24, np.nan)
 
     def range_profile(self, *, weekend: bool) -> tuple[np.ndarray, np.ndarray]:
         """(min, max) occurrences per hour over days (the range whiskers)."""
@@ -47,8 +49,12 @@ class DailyPattern:
         return sel.min(axis=0), sel.max(axis=0)
 
     def std_profile(self, *, weekend: bool) -> np.ndarray:
-        """Per-hour standard deviation across days of the same type."""
-        return self._select(weekend).std(axis=0, ddof=1)
+        """Per-hour standard deviation across days of the same type; NaN
+        with fewer than two such days."""
+        sel = self._select(weekend)
+        if len(sel) < 2:
+            return np.full(24, np.nan)
+        return sel.std(axis=0, ddof=1)
 
     def deviation_summary(self, *, weekend: bool) -> dict[str, float]:
         """How repeatable the daily pattern is — the predictability claim.
@@ -57,9 +63,8 @@ class DailyPattern:
         days: small values mean a given hour looks like the same hour on
         other days of the same type.
         """
-        sel = self._select(weekend)
-        mean = sel.mean(axis=0)
-        std = sel.std(axis=0, ddof=1)
+        mean = self.mean_profile(weekend=weekend)
+        std = self.std_profile(weekend=weekend)
         weights = mean / mean.sum() if mean.sum() > 0 else np.full(24, 1 / 24)
         with np.errstate(invalid="ignore", divide="ignore"):
             cv = np.where(mean > 0, std / mean, 0.0)

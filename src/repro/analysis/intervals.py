@@ -57,11 +57,11 @@ class IntervalDistribution:
         return {
             "weekday_mean_h": exact_mean(exact_sum(wk), wk.size),
             "weekend_mean_h": exact_mean(exact_sum(we), we.size),
-            "weekday_frac_2_4h": float(np.mean((wk >= 2) & (wk <= 4))),
-            "weekend_frac_4_6h": float(np.mean((we >= 4) & (we <= 6))),
-            "frac_below_5min": float(np.mean(both < five_min)),
-            "weekday_frac_5min_2h": float(np.mean((wk >= five_min) & (wk < 2))),
-            "weekend_frac_5min_2h": float(np.mean((we >= five_min) & (we < 2))),
+            "weekday_frac_2_4h": _fraction((wk >= 2) & (wk <= 4)),
+            "weekend_frac_4_6h": _fraction((we >= 4) & (we <= 6)),
+            "frac_below_5min": _fraction(both < five_min),
+            "weekday_frac_5min_2h": _fraction((wk >= five_min) & (wk < 2)),
+            "weekend_frac_5min_2h": _fraction((we >= five_min) & (we < 2)),
         }
 
     def cdf_series(
@@ -75,6 +75,12 @@ class IntervalDistribution:
             self.weekday_cdf.at(grid_hours),
             self.weekend_cdf.at(grid_hours),
         )
+
+
+def _fraction(mask: np.ndarray) -> float:
+    """The share of true entries, the streamed fold's integer quotient;
+    NaN, without a warning, for an empty side."""
+    return np.count_nonzero(mask) / mask.size if mask.size else float("nan")
 
 
 def interval_distribution(dataset: TraceDataset) -> IntervalDistribution:

@@ -1250,6 +1250,7 @@ def _report_artifacts(args: argparse.Namespace) -> int:
     )
     from .analysis.fits import fit_interval_distributions
     from .analysis.report import TOO_SHORT, render_section5
+    from .errors import ReproError
 
     # The per-event reference, not the column fold: the fits, hazard,
     # predictability and capacity artifacts need the raw interval arrays
@@ -1276,11 +1277,12 @@ def _report_artifacts(args: argparse.Namespace) -> int:
             print(f"{name}.txt skipped: {TOO_SHORT[name]}")
         else:
             write(f"{name}.txt", text)
-    if dist.weekday_count:
-        write(
-            "interval_fits.txt",
-            fit_interval_distributions(dist.weekday_hours).render(),
-        )
+    try:
+        fits = fit_interval_distributions(dist.weekday_hours)
+    except ReproError as exc:
+        print(f"interval_fits.txt skipped: {exc} (trace too short)")
+    else:
+        write("interval_fits.txt", fits.render())
     try:
         from .analysis.hazard import hazard_curve
 
@@ -1452,7 +1454,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         registry.inc(name, 0)
     sampler = ResourceSampler().start() if telemetry else None
 
-    from .errors import ConfigError, FaultError
+    from .errors import ReproError
 
     started_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     t0 = time.perf_counter()
@@ -1460,11 +1462,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             with registry.span(args.command):
                 rc = _COMMANDS[args.command](args)
-        except (FaultError, ConfigError) as exc:
-            # Invalid fault plans, invalid scenario/config documents, and
+        except ReproError as exc:
+            # Invalid input (a trace that is not one, or too short for the
+            # command; fault plans, scenario and config documents) and
             # unrecoverable injected failures are operational errors, not
-            # bugs: report the offending key path and exit 2 — never a
-            # traceback.
+            # bugs: report them in one line and exit 2 — never a
+            # traceback, and never 1, which means a landmark failed.
             print(f"error: {exc}", file=sys.stderr)
             rc = 2
         finally:

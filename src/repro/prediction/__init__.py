@@ -40,7 +40,6 @@ _EXPORTS = {
     "FactoredPredictor": ".factored",
     "HistoryWindowPredictor": ".history",
     "IntervalExponentialPredictor": ".markov",
-    "OnlinePredictor": ".online",
     "RenewalAgePredictor": ".renewal",
     "SemiMarkovModel": ".semimarkov",
 }

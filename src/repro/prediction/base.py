@@ -8,6 +8,12 @@ counts of unavailability occurrences (by event start time) — and answer
 * ``predict_survival`` — probability that **no** unavailability starts in
   the window (the quantity a proactive scheduler needs: will a guest job
   launched now survive its runtime?).
+
+This module is also the one home of the start-cell binning that turns an
+event start into its (day, hour) cell: :func:`start_cell` for one event
+and :func:`counts_from_event_rows` for an event table.  The batch
+predictors and the serving layer (:mod:`repro.serve`, which imports no
+other prediction module) both bin through them.
 """
 
 from __future__ import annotations
@@ -19,9 +25,61 @@ import numpy as np
 
 from ..errors import PredictionError
 from ..traces.dataset import TraceDataset
+from ..traces.records import events_to_columns
 from ..units import DAY, HOUR
 
-__all__ = ["AvailabilityPredictor", "CountMatrix", "PredictionQuery"]
+__all__ = [
+    "AvailabilityPredictor",
+    "CountMatrix",
+    "PredictionQuery",
+    "counts_from_event_rows",
+    "start_cell",
+]
+
+
+def start_cell(start: float) -> int:
+    """The cell ``24 * day + hour`` an event starting at ``start`` counts
+    in: ``day, rem = divmod(start, DAY)``, ``hour = rem // HOUR``, with
+    CPython's exact float ``divmod``."""
+    day, rem = divmod(start, DAY)
+    return 24 * int(day) + int(rem // HOUR)
+
+
+def counts_from_event_rows(
+    rows: np.ndarray, n_machines: int, n_days: int, machine_base: int = 0
+) -> np.ndarray:
+    """Bin event rows into an ``(n_machines, n_days, 24)`` count block.
+
+    :func:`start_cell` applied to every row of an event table whose
+    machine ids start at ``machine_base``, events past the last whole
+    day dropped: the whole count matrix for a full table, its
+    block-restricted form for a slice of one.
+
+    It is computed as one floor-and-correct division: ``cell =
+    floor(start / HOUR)``, minus one where ``cell * HOUR > start``.  The
+    rounded quotient is never below the true quotient's floor and at
+    most reaches the next integer, and for any start below 2⁵³ the
+    product and the comparison are exact, so ``cell`` is the exact floor
+    of ``start / HOUR``.  Since ``DAY = 24 * HOUR`` exactly, that is
+    ``24 * day + hour`` for CPython's exact ``divmod``, cell for cell —
+    property-tested at every ``k·HOUR`` (so every ``k·DAY``) and one ulp
+    either side.  A start beyond 2⁵³ seconds lies past any trace's last
+    day and is dropped by both.
+    """
+    start = rows["start"]
+    cell = start / HOUR
+    np.floor(cell, out=cell)
+    cell -= cell * HOUR > start
+    flat = rows["machine_id"].astype(np.int64)
+    flat -= machine_base
+    flat *= n_days * 24
+    flat += cell.astype(np.int64)
+    keep = cell < n_days * 24
+    if not keep.all():
+        flat = flat[keep]
+    return np.bincount(flat, minlength=n_machines * n_days * 24).reshape(
+        n_machines, n_days, 24
+    )
 
 
 @dataclass(frozen=True)
@@ -73,15 +131,9 @@ class CountMatrix:
         self.n_machines = dataset.n_machines
         self.n_days = dataset.n_days
         self.start_weekday = dataset.start_weekday
-        self.counts = np.zeros(
-            (self.n_machines, self.n_days, 24), dtype=np.int64
+        self.counts = counts_from_event_rows(
+            events_to_columns(dataset.events), self.n_machines, self.n_days
         )
-        for e in dataset.events:
-            day, rem = divmod(e.start, DAY)
-            day = int(day)
-            hour = int(rem // HOUR)
-            if day < self.n_days:
-                self.counts[e.machine_id, day, hour] += 1
 
     def is_weekend_day(self, day: int) -> bool:
         return (day + self.start_weekday) % 7 >= 5

@@ -20,7 +20,7 @@ from .ingest import AsyncIngester, IngestQueueStats
 from .paging import BlockInfo, BlockPager, PagerStats
 from .router import RouterApp, start_router
 from .server import ServeApp, ServeHandle, ServeSpec, boot, start_server
-from .state import IngestResult, ServeState, TierStats, counts_from_columns
+from .state import IngestResult, ServeState, TierStats
 
 __all__ = [
     "AsyncIngester",
@@ -38,7 +38,6 @@ __all__ = [
     "ServeState",
     "TierStats",
     "boot",
-    "counts_from_columns",
     "start_router",
     "start_server",
 ]

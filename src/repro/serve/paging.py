@@ -21,14 +21,14 @@ memory-mapped, so evicted state really leaves the resident set instead
 of lingering as mapped file pages.  JSONL shards (no fixed row width)
 slice the same index out of a one-deep parse cache.
 
-Exactness: a block's counts are the corresponding machine rows of
-:func:`repro.serve.state.counts_from_columns` on the whole shard —
-integer event counts binned by :func:`counts_from_event_rows`, which
-reproduces CPython's float ``divmod`` exactly (see there), so
-restriction to a machine sub-range commutes with counting and every
-answer served through paging equals the unpaged (and batch) answer
-exactly.  ``tests/test_serve_paging.py`` pins this, block size by block
-size, through eviction churn.
+Exactness: a block's counts are the corresponding machine rows of the
+whole shard's count matrix — integer event counts binned by
+:func:`repro.prediction.base.counts_from_event_rows`, which reproduces
+CPython's float ``divmod`` exactly (see there), so restriction to a
+machine sub-range commutes with counting and every answer served
+through paging equals the unpaged (and batch) answer exactly.
+``tests/test_serve_paging.py`` pins this, block size by block size,
+through eviction churn.
 
 Verification happens **once per shard**, not per rebuild — per-rebuild
 hashing would re-read the whole file and defeat the point of paging.
@@ -56,9 +56,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ..errors import ServeError, TraceError
+from ..prediction.base import counts_from_event_rows
 from ..traces.records import EVENT_DTYPE, EventColumns
 from ..traces.shards import ShardedTraceDataset, _sha256_file
-from ..units import HOUR
 
 __all__ = ["BlockInfo", "BlockPager", "PagerStats"]
 
@@ -114,44 +114,6 @@ class _ShardRows(NamedTuple):
     #: ``first_row[m]`` is the first event row of shard-local machine
     #: ``m``; ``first_row[n_machines]`` is the row count.
     first_row: np.ndarray
-
-
-def counts_from_event_rows(
-    rows: np.ndarray, n_machines: int, n_days: int, machine_base: int = 0
-) -> np.ndarray:
-    """Bin event rows into an ``(n_machines, n_days, 24)`` count block.
-
-    The binning of :class:`repro.prediction.base.CountMatrix` —
-    ``day, rem = divmod(start, DAY)``, ``hour = rem // HOUR``, events
-    past the last whole day dropped — applied to an arbitrary slice of
-    an event table whose machine ids start at ``machine_base``: the
-    block-restricted form of the whole-shard count matrix.
-
-    It is computed as one floor-and-correct division: ``cell =
-    floor(start / HOUR)``, minus one where ``cell * HOUR > start``.  The
-    rounded quotient is never below the true quotient's floor and at
-    most reaches the next integer, and for any start below 2⁵³ the
-    product and the comparison are exact, so ``cell`` is the exact floor
-    of ``start / HOUR``.  Since ``DAY = 24 * HOUR`` exactly, that is
-    ``24 * day + hour`` for CPython's exact ``divmod``, cell for cell —
-    property-tested at every ``k·HOUR`` (so every ``k·DAY``) and one ulp
-    either side.  A start beyond 2⁵³ seconds lies past any trace's last
-    day and is dropped by both.
-    """
-    start = rows["start"]
-    cell = start / HOUR
-    np.floor(cell, out=cell)
-    cell -= cell * HOUR > start
-    flat = rows["machine_id"].astype(np.int64)
-    flat -= machine_base
-    flat *= n_days * 24
-    flat += cell.astype(np.int64)
-    keep = cell < n_days * 24
-    if not keep.all():
-        flat = flat[keep]
-    return np.bincount(flat, minlength=n_machines * n_days * 24).reshape(
-        n_machines, n_days, 24
-    )
 
 
 def _file_id(path: Path) -> tuple[int, int]:

@@ -38,9 +38,11 @@ queries return per-owned-machine arrays the router scatter-gathers.
 Exactness contract
 ------------------
 For a state built from a trace with no streamed events, every answer is
-*value-identical* to the batch path on the same trace:
-:func:`counts_from_columns` reproduces ``CountMatrix.counts`` exactly
-(same ``divmod`` binning, vectorized), and the query methods replicate
+*value-identical* to the batch path on the same trace: the base tier
+and ``CountMatrix.counts`` are binned by the one
+:func:`~repro.prediction.base.counts_from_event_rows`, streamed events
+by its per-event form :func:`~repro.prediction.base.start_cell`, and
+the query methods replicate
 :class:`~repro.prediction.history.HistoryWindowPredictor`'s arithmetic
 operation for operation — per-cell ``total += overlap * count``
 accumulation in cell order, ``np.mean`` over the same-shaped history
@@ -102,10 +104,13 @@ from ..errors import (
     ServeError,
     WorkerRangeError,
 )
-from ..prediction.base import PredictionQuery
+from ..prediction.base import (
+    PredictionQuery,
+    counts_from_event_rows,
+    start_cell,
+)
 from ..traces.records import CODE_TO_STATE, EventColumns
 from ..traces.shards import ShardedTraceDataset
-from ..units import DAY, HOUR
 from .paging import BlockPager
 
 __all__ = [
@@ -113,7 +118,6 @@ __all__ = [
     "ServeState",
     "TierStats",
     "ValidatedBatch",
-    "counts_from_columns",
     "mean_survival",
 ]
 
@@ -137,24 +141,6 @@ def mean_survival(
     return (clean_windows + machines * laplace) / (
         machines * (history_days + 2 * laplace)
     )
-
-
-def counts_from_columns(cols: EventColumns) -> np.ndarray:
-    """The ``(n_machines, n_days, 24)`` unavailability-start count matrix.
-
-    Vectorized but binning-identical to
-    :class:`repro.prediction.base.CountMatrix`: ``day, rem =
-    divmod(start, DAY)``; ``hour = rem // HOUR``; events past the last
-    whole day are dropped.  The vector form is an exact floor-and-correct
-    division (:func:`repro.serve.paging.counts_from_event_rows`), so the
-    two paths bin every float start identically (property-tested).
-    """
-    from .paging import counts_from_event_rows
-
-    n_days = cols.n_days
-    if len(cols) == 0 or n_days == 0:
-        return np.zeros((cols.n_machines, n_days, 24), dtype=np.int64)
-    return counts_from_event_rows(cols.events, cols.n_machines, n_days)
 
 
 @dataclass(frozen=True)
@@ -358,7 +344,9 @@ class ServeState:
         kwargs.pop("hot_bytes", None)
         kwargs.pop("block_machines", None)
         state = cls(cols.n_machines, cols.n_days, cols.start_weekday, **kwargs)
-        state._base = counts_from_columns(cols)
+        state._base = counts_from_event_rows(
+            cols.events, cols.n_machines, cols.n_days
+        )
         return state
 
     # -- introspection --------------------------------------------------------
@@ -580,7 +568,7 @@ class ServeState:
                     continue
             tails[ev.machine_id] = ev
             accepted.append(ev)
-            day = int(divmod(ev.start, DAY)[0])
+            day = start_cell(ev.start) // 24
             if day + 1 > horizon:
                 horizon = day + 1
         return ValidatedBatch(
@@ -597,9 +585,7 @@ class ServeState:
 
     def _apply_locked(self, batch: ValidatedBatch) -> None:
         for ev in batch.accepted:
-            day_f, rem = divmod(ev.start, DAY)
-            day = int(day_f)
-            hour = int(rem // HOUR)
+            day, hour = divmod(start_cell(ev.start), 24)
             key = (ev.machine_id, day)
             vec = self._overlay.get(key)
             if vec is None:

@@ -237,7 +237,11 @@ def _read_columns_jsonl(path: Path) -> EventColumns:
     """
     nan = float("nan")
     mids, starts, ends, codes, loads, mbs = [], [], [], [], [], []
-    with path.open("r", encoding="utf-8") as fh:
+    try:
+        fh = path.open("r", encoding="utf-8")
+    except OSError as exc:
+        raise TraceError(f"cannot read trace {path}: {exc}") from exc
+    with fh:
         header_line = fh.readline()
         if not header_line:
             raise TraceError(f"{path}: empty trace file")

@@ -21,7 +21,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,13 +38,6 @@ from repro.traces.dataset import TraceDataset
 from repro.traces.records import EventColumns
 from repro.traces.shards import partition_machines
 from repro.units import DAY
-
-# The per-event landmark fractions take np.mean of empty sides by design
-# (NaN); the property suite exercises those fleets on purpose.
-pytestmark = [
-    pytest.mark.filterwarnings("ignore:Mean of empty slice"),
-    pytest.mark.filterwarnings("ignore:invalid value encountered"),
-]
 
 _STATES = (AvailState.S3, AvailState.S4, AvailState.S5)
 

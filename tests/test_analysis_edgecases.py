@@ -26,11 +26,6 @@ from repro.traces.io import save_dataset
 from repro.traces.records import EventColumns
 from repro.units import DAY, HOUR
 
-pytestmark = [
-    pytest.mark.filterwarnings("ignore:Mean of empty slice"),
-    pytest.mark.filterwarnings("ignore:invalid value encountered"),
-]
-
 
 def _fleet(events, n_machines, span, start_weekday=0) -> TraceDataset:
     return TraceDataset(

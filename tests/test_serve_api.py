@@ -21,14 +21,18 @@ import pytest
 from repro.config import FgcsConfig, TestbedConfig
 from repro.errors import ServeError
 from repro.obs.metrics import MetricsRegistry
-from repro.prediction.base import CountMatrix, PredictionQuery
+from repro.prediction.base import (
+    CountMatrix,
+    PredictionQuery,
+    counts_from_event_rows,
+    start_cell,
+)
 from repro.prediction.history import HistoryWindowPredictor
 from repro.serve import (
     ServeApp,
     ServeClient,
     ServeRequestError,
     ServeState,
-    counts_from_columns,
     start_server,
 )
 from repro.serve.state import mean_survival
@@ -80,10 +84,19 @@ def _queries(n_machines: int):
 
 class TestStateMatchesBatch:
     def test_counts_match_count_matrix(self, golden_dataset, golden_columns):
-        matrix = CountMatrix(golden_dataset)
-        assert np.array_equal(
-            counts_from_columns(golden_columns), matrix.counts
+        # The oracle bins each event on its own, by CPython's exact divmod.
+        n_machines, n_days = golden_dataset.n_machines, golden_dataset.n_days
+        expected = np.zeros((n_machines, 24 * n_days), dtype=np.int64)
+        for e in golden_dataset.events:
+            cell = start_cell(e.start)
+            if cell < 24 * n_days:
+                expected[e.machine_id, cell] += 1
+        expected = expected.reshape(n_machines, n_days, 24)
+        binned = counts_from_event_rows(
+            golden_columns.events, n_machines, n_days
         )
+        assert np.array_equal(binned, expected)
+        assert np.array_equal(CountMatrix(golden_dataset).counts, expected)
 
     def test_survival_identical(self, golden_state, golden_predictor):
         for query in _queries(golden_state.n_machines):
@@ -429,6 +442,21 @@ class TestPreIngest:
         )
         assert status == 422
         assert "no same-type history" in payload["error"]
+
+
+class TestConstructor:
+    @pytest.mark.parametrize(
+        "n_machines,knobs",
+        [
+            (0, {}),
+            (4, {"history_days": 0}),
+            (4, {"statistic": "mode"}),
+            (4, {"laplace": -0.5}),
+        ],
+    )
+    def test_invalid_state_knobs_rejected(self, n_machines, knobs):
+        with pytest.raises(ServeError):
+            ServeState(n_machines, 7, **knobs)
 
 
 class TestIngestValidation:

@@ -27,9 +27,9 @@ import pytest
 from repro.config import FgcsConfig, TestbedConfig
 from repro.core.events import UnavailabilityEvent
 from repro.errors import ServeError, TraceError
-from repro.prediction.base import PredictionQuery
+from repro.prediction.base import PredictionQuery, counts_from_event_rows
 from repro.prediction.history import HistoryWindowPredictor
-from repro.serve import BlockPager, ServeState, counts_from_columns
+from repro.serve import BlockPager, ServeState
 from repro.traces.dataset import TraceDataset
 from repro.traces.records import CODE_TO_STATE, EventColumns
 from repro.traces.shards import generate_shards, open_shards, write_shards
@@ -75,7 +75,10 @@ class TestBlockCounts:
         pager = BlockPager(fleet_store, block_machines=block_machines)
         for block in pager.blocks:
             shard_info = fleet_store.manifest.shards[block.shard]
-            whole = counts_from_columns(fleet_store.shard_columns(block.shard))
+            cols = fleet_store.shard_columns(block.shard)
+            whole = counts_from_event_rows(
+                cols.events, cols.n_machines, cols.n_days
+            )
             lo = block.lo - shard_info.machine_lo
             hi = block.hi - shard_info.machine_lo
             assert np.array_equal(pager.counts(block.index), whole[lo:hi])

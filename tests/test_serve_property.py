@@ -3,11 +3,13 @@
 Extends the ``tests/test_accumulators_property.py`` merge-equivalence
 patterns to live-update state.  The contracts, for *any* small fleet:
 
-* :func:`repro.serve.counts_from_columns` (vectorized floor-and-correct
-  binning) equals :class:`repro.prediction.base.CountMatrix` (scalar
-  CPython ``divmod`` binning) **exactly** — both paths bin every float
-  start into the same (day, hour) cell, also at every hour and day
-  boundary and one ulp either side of it;
+* :func:`repro.prediction.base.counts_from_event_rows` (the one
+  vectorized floor-and-correct binning, which both
+  :class:`repro.prediction.base.CountMatrix` and the serving base tier
+  use) equals an independent per-event loop over
+  :func:`~repro.prediction.base.start_cell` (CPython's exact ``divmod``)
+  **exactly** — every float start lands in the same (day, hour) cell,
+  also at every hour and day boundary and one ulp either side of it;
 * incremental ingest of the fleet's events one at a time (and in any
   batch split) answers every query identically to the batch state built
   from the same events in one shot — counts are integer sums, so
@@ -31,8 +33,13 @@ from hypothesis import strategies as st
 from repro.core.events import UnavailabilityEvent
 from repro.core.states import AvailState
 from repro.errors import IngestOrderError
-from repro.prediction.base import CountMatrix, PredictionQuery
-from repro.serve import ServeState, counts_from_columns
+from repro.prediction.base import (
+    CountMatrix,
+    PredictionQuery,
+    counts_from_event_rows,
+    start_cell,
+)
+from repro.serve import ServeState
 from repro.traces.dataset import TraceDataset
 from repro.traces.records import EventColumns, STATE_TO_CODE
 from repro.units import DAY, HOUR
@@ -145,13 +152,29 @@ def _with_boundary_starts(fleet: TraceDataset) -> TraceDataset:
     return dataclasses.replace(fleet, events=events)
 
 
+def _per_event_counts(dataset: TraceDataset) -> np.ndarray:
+    """The oracle: each event binned on its own by :func:`start_cell`,
+    events past the last whole day dropped."""
+    n_cells = 24 * dataset.n_days
+    counts = np.zeros((dataset.n_machines, n_cells), dtype=np.int64)
+    for e in dataset.events:
+        cell = start_cell(e.start)
+        if cell < n_cells:
+            counts[e.machine_id, cell] += 1
+    return counts.reshape(dataset.n_machines, dataset.n_days, 24)
+
+
 @given(fleet=fleets())
 @settings(max_examples=60, deadline=None)
 def test_vectorized_binning_equals_count_matrix(fleet: TraceDataset):
     for dataset in (fleet, _with_boundary_starts(fleet)):
-        matrix = CountMatrix(dataset)
-        columns = EventColumns.from_dataset(dataset)
-        assert np.array_equal(counts_from_columns(columns), matrix.counts)
+        expected = _per_event_counts(dataset)
+        rows = EventColumns.from_dataset(dataset).events
+        binned = counts_from_event_rows(
+            rows, dataset.n_machines, dataset.n_days
+        )
+        assert np.array_equal(binned, expected)
+        assert np.array_equal(CountMatrix(dataset).counts, expected)
 
 
 @given(fleet=fleets(), data=st.data())
