@@ -307,8 +307,7 @@ def test_serve_worker_scaling(benchmark, out_dir, tmp_path):
                     lane = _measure_lane(handle.url, N_MACHINES)
             else:
                 with start_router(
-                    store,
-                    str(tmp_path / "fleet"),
+                    tmp_path / "fleet",
                     n_workers=n_workers,
                     hot_shards=HOT_SHARDS,
                 ) as handle:

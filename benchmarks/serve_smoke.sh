@@ -8,8 +8,9 @@
 # most 4 resident shards; WORKERS=2 is the router over two workers with
 # 16-machine block paging, a 4096-event ingest queue and a snapshot
 # after every batch.  The test queries every endpoint, sends 500 point
-# reads and one ingest batch that spans both halves of the fleet, shuts
-# the daemon down, and checks the manifest it wrote to MANIFEST.
+# reads and one ingest batch that spans both halves of the fleet, checks
+# the daemon's process tree and logs each process's peak RSS (VmHWM),
+# shuts the daemon down, and checks the manifest it wrote to MANIFEST.
 # `make serve-smoke` and CI run both topologies; the baseline refresh
 # scripts run it to write the committed manifests.
 set -eu
@@ -78,6 +79,22 @@ with ServeClient(url) as client:
     assert client.flush()["workers"] == workers
 print(f"serve smoke, {workers} worker(s): 500 queries + ingest OK")
 EOF
+# The process tree: a router's only children are its workers (no
+# multiprocessing resource tracker), and a single process has none.
+# Each process's peak resident set goes to the log, so a tracker or
+# NumPy coming back into the router shows there.
+children=$(cat /proc/"$serve_pid"/task/*/children)
+for pid in "$serve_pid" $children; do
+    echo "pid $pid $(grep VmHWM /proc/"$pid"/status | tr -s ' \t' ' ')"
+done
+expected=$workers
+[ "$workers" -eq 1 ] && expected=0
+# shellcheck disable=SC2086  # $children is a word list
+set -- $children
+if [ "$#" -ne "$expected" ]; then
+    echo "expected $expected child process(es) of the daemon, found $#"
+    exit 1
+fi
 PYTHONPATH=src python -m repro.cli query --url "$url" shutdown
 wait "$serve_pid"
 cat "$tmp/serve.err"

@@ -849,8 +849,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from .errors import ServeError, TraceError
     from .obs import MetricsRegistry, get_registry
-    from .serve import ServeSpec, boot, start_router
-    from .traces import is_shard_store, open_shards
+    from .serve import ServeSpec, boot
+    from .traces import is_shard_store
 
     knobs = dict(
         block_machines=args.block_machines,
@@ -883,8 +883,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             spec = ServeSpec(args.trace, host=args.host, port=args.port, **knobs)
             handle = boot(spec, registry)
         else:
+            # Only a router loads it: one process keeps its import set.
+            from .serve import start_router
+
             handle = start_router(
-                open_shards(args.trace),
                 args.trace,
                 n_workers=args.workers,
                 host=args.host,
@@ -1249,6 +1251,7 @@ def _report_artifacts(args: argparse.Namespace) -> int:
         weekday_profile,
     )
     from .analysis.fits import fit_interval_distributions
+    from .analysis.hazard import hazard_curve
     from .analysis.report import TOO_SHORT, render_section5
     from .errors import ReproError
 
@@ -1277,23 +1280,29 @@ def _report_artifacts(args: argparse.Namespace) -> int:
             print(f"{name}.txt skipped: {TOO_SHORT[name]}")
         else:
             write(f"{name}.txt", text)
-    try:
-        fits = fit_interval_distributions(dist.weekday_hours)
-    except ReproError as exc:
-        print(f"interval_fits.txt skipped: {exc} (trace too short)")
-    else:
-        write("interval_fits.txt", fits.render())
-    try:
-        from .analysis.hazard import hazard_curve
-
-        write("hazard.txt", hazard_curve(dataset, weekend=False).render())
-    except Exception:
-        pass  # traces too small for a hazard estimate skip the artifact
+    for name, build in (
+        ("interval_fits", lambda: fit_interval_distributions(dist.weekday_hours)),
+        ("hazard", lambda: hazard_curve(dataset, weekend=False)),
+    ):
+        try:
+            artifact = build()
+        except ReproError as exc:
+            print(f"{name}.txt skipped: {exc} (trace too short)")
+        else:
+            write(f"{name}.txt", artifact.render())
     if dataset.n_days >= 14:
         write("predictability.txt", predictability_report(dataset).summary())
         write("weekday_profile.txt", weekday_profile(dataset).render())
+    else:
+        for name in ("predictability", "weekday_profile"):
+            print(
+                f"{name}.txt skipped: needs at least 14 whole days, the "
+                f"trace has {dataset.n_days} (trace too short)"
+            )
     if dataset.hourly_load is not None:
         write("capacity.txt", capacity_report(dataset).summary())
+    else:
+        print("capacity.txt skipped: the trace carries no hourly load")
     checks = evaluate_landmarks(
         breakdown, dist, pattern, span=dataset.span, n_machines=dataset.n_machines
     )

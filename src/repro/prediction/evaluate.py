@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..errors import PredictionError
+from ..errors import PredictionError, ReproError
 from ..obs.metrics import span
 from ..traces.dataset import TraceDataset
 from .base import AvailabilityPredictor, CountMatrix, PredictionQuery
@@ -90,6 +90,19 @@ def make_queries(
     return queries
 
 
+def check_train_days(
+    n_days: int, train_days: int, error: type[ReproError] = PredictionError
+) -> None:
+    """Reject a split of ``n_days`` whole days that leaves no training
+    day or no test day: a trace needs at least two whole days."""
+    if not 1 <= train_days < n_days:
+        raise error(
+            f"train_days must be at least 1 and leave a test day; got "
+            f"{train_days} for a trace of {n_days} whole day(s), and a split "
+            "needs at least 2"
+        )
+
+
 def evaluate_predictors(
     dataset: TraceDataset,
     predictors: Iterable[AvailabilityPredictor],
@@ -107,10 +120,7 @@ def evaluate_predictors(
     absolute day indices, and the count matrix simply has no rows past the
     training span, so lookups clamp there).
     """
-    if not 1 <= train_days < dataset.n_days:
-        raise PredictionError(
-            f"train_days must be in [1, {dataset.n_days - 1}], got {train_days}"
-        )
+    check_train_days(dataset.n_days, train_days)
     train = dataset.slice_days(0, train_days)
     with span("predict.queries"):
         queries = make_queries(
@@ -209,8 +219,7 @@ def evaluate_machine_ranking(
     """
     import scipy.stats
 
-    if not 1 <= train_days < dataset.n_days:
-        raise PredictionError("train_days must leave test days")
+    check_train_days(dataset.n_days, train_days)
     predictor.fit(dataset.slice_days(0, train_days))
     truth = CountMatrix(dataset)
 

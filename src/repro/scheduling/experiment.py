@@ -17,6 +17,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..faults import FaultContext
 from ..obs.metrics import span
+from ..prediction.evaluate import check_train_days
 from ..prediction.history import HistoryWindowPredictor
 from ..prediction.renewal import RenewalAgePredictor
 from ..rng import generator_from
@@ -117,8 +118,7 @@ def run_scheduling_experiment(
     remaining days.  With ``policies=None``, the standard panel is used:
     random, least-loaded, predictive (history-window), oracle.
     """
-    if not 1 <= train_days < dataset.n_days:
-        raise ConfigError("train_days must leave at least one test day")
+    check_train_days(dataset.n_days, train_days, ConfigError)
     train = dataset.slice_days(0, train_days)
     test = dataset.slice_days(train_days, dataset.n_days)
 

@@ -12,32 +12,33 @@ over per-machine-range worker processes (:mod:`repro.serve.router`),
 running the same request pipeline (:mod:`repro.serve.server`).
 ``repro-fgcs query`` is the matching CLI client.
 
+The names below export lazily (PEP 562), so the router, which holds no
+predictor state, never loads the state stack or NumPy.
+
 See ``docs/serving.md``.
 """
 
-from .client import ServeClient, ServeRequestError
-from .ingest import AsyncIngester, IngestQueueStats
-from .paging import BlockInfo, BlockPager, PagerStats
-from .router import RouterApp, start_router
-from .server import ServeApp, ServeHandle, ServeSpec, boot, start_server
-from .state import IngestResult, ServeState, TierStats
+from .._lazy import attach as _attach
 
-__all__ = [
-    "AsyncIngester",
-    "BlockInfo",
-    "BlockPager",
-    "IngestQueueStats",
-    "IngestResult",
-    "PagerStats",
-    "RouterApp",
-    "ServeApp",
-    "ServeClient",
-    "ServeHandle",
-    "ServeRequestError",
-    "ServeSpec",
-    "ServeState",
-    "TierStats",
-    "boot",
-    "start_router",
-    "start_server",
-]
+#: Public name -> the submodule that defines it, resolved on first access.
+_EXPORTS = {
+    "ServeClient": ".client",
+    "ServeRequestError": ".client",
+    "AsyncIngester": ".ingest",
+    "IngestQueueStats": ".ingest",
+    "BlockInfo": ".paging",
+    "BlockPager": ".paging",
+    "PagerStats": ".paging",
+    "RouterApp": ".router",
+    "start_router": ".router",
+    "ServeApp": ".server",
+    "ServeHandle": ".server",
+    "ServeSpec": ".server",
+    "boot": ".server",
+    "start_server": ".server",
+    "IngestResult": ".state",
+    "ServeState": ".state",
+    "TierStats": ".state",
+}
+
+__getattr__, __dir__, __all__ = _attach(globals(), _EXPORTS)

@@ -8,13 +8,21 @@ scale-out front keeps every piece of PR 8's protocol and exactness while
 spreading the *state* across processes:
 
 * ``start_router(store, n_workers=N)`` partitions the store's shards
-  into N contiguous runs and **spawns one worker process per run** —
+  into N contiguous runs and **starts one worker process per run** —
   each a full :func:`~repro.serve.server.boot` daemon whose
   :class:`~repro.serve.state.ServeState` owns exactly that machine
   range (the per-shard count blocks are already independent, so the
-  partition is free).  Workers use the ``spawn`` start method: a fresh
-  interpreter, picklable specs, and safe respawn while router threads
-  run.
+  partition is free).  A worker is a plain interpreter
+  (``sys.executable`` with the router's interpreter flags and
+  ``sys.path``) that reads its entry point and :class:`ServeSpec`,
+  pickled, from stdin and reports back over an inherited pipe: no
+  ``multiprocessing`` resource tracker, and safe respawn while router
+  threads run.  The router holds the write end of each worker's stdin
+  and nothing else does, so end-of-file tells a worker that its router
+  is gone: it drains its ingest queue, takes its final snapshot and
+  exits.  The router reads only the store's manifest
+  (:mod:`repro.traces.manifest`), so it loads neither NumPy nor the
+  state stack.
 * The **router** is the shared request pipeline
   (:class:`~repro.serve.server.Pipeline`) with one partition per
   worker: point queries are forwarded to the owning worker over
@@ -51,15 +59,19 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import json
-import multiprocessing
+import os
+import pickle
 import socket
+import subprocess
+import sys
 import threading
 import time
-from typing import Optional
+from multiprocessing.connection import Connection
+from typing import Optional, Union
 
 from ..errors import ServeError, TraceError
 from ..obs.metrics import MetricsRegistry
-from ..traces.shards import ShardedTraceDataset
+from ..traces.manifest import ShardManifest
 from .server import Pipeline, ServeHandle, ServeSpec, Window, _ok, _Unavailable, boot
 
 __all__ = ["RouterApp", "start_router", "worker_main"]
@@ -69,17 +81,35 @@ _BOOT_TIMEOUT_S = 60.0
 #: Supervisor poll cadence.
 _POLL_S = 0.2
 
+#: A worker interpreter's program.  The router's ``sys.path`` comes first
+#: on stdin and is in place before anything of this package is imported
+#: or unpickled; then :func:`run_worker` reads the rest.
+_WORKER_PROGRAM = (
+    "import pickle, sys; sys.path[:] = pickle.load(sys.stdin.buffer); "
+    "from repro.serve.router import run_worker; run_worker({fd})"
+)
+
 
 # -- worker process ------------------------------------------------------------
 
 
+def run_worker(report_fd: int) -> None:
+    """The body of a worker interpreter: run the pickled ``(entry, spec)``
+    pair from stdin, reporting over the inherited pipe ``report_fd``."""
+    entry, spec = pickle.load(sys.stdin.buffer)
+    entry(spec, Connection(report_fd, readable=False))
+
+
 def worker_main(spec: ServeSpec, conn) -> None:
-    """Entry point of one spawned shard worker (blocks until shutdown).
+    """Entry point of one shard worker (blocks until shutdown).
 
     Reports over ``conn`` once: ``(port, horizon_day)`` when it serves,
     or the message (a ``str``) of the :class:`ServeError`,
     :class:`TraceError` or :class:`OSError` that stopped its boot — then
-    exits with status 2 instead of printing a traceback.
+    exits with status 2 instead of printing a traceback.  Serves until
+    ``POST /v1/shutdown`` or end-of-file on stdin (the router closed it
+    or died), whichever comes first; either way it then drains its
+    ingest queue and takes its final snapshot.
     """
     try:
         handle = boot(spec)
@@ -87,12 +117,38 @@ def worker_main(spec: ServeSpec, conn) -> None:
         conn.send(str(exc))
         conn.close()
         raise SystemExit(2) from None
-    conn.send((handle.port, handle.app.state.horizon_day))
-    conn.close()
     try:
-        handle.wait()  # until POST /v1/shutdown stops the serve loop
+        conn.send((handle.port, handle.app.state.horizon_day))
+        conn.close()
+        threading.Thread(
+            target=_stop_at_eof, args=(handle,), name="fgcs-router-eof", daemon=True
+        ).start()
+        handle.wait()
     finally:
         handle.close()
+
+
+def _stop_at_eof(handle: ServeHandle) -> None:
+    """Stop the serve loop once stdin reaches end-of-file.
+
+    ``shutdown`` may run twice, here and for ``POST /v1/shutdown``: each
+    call only asks the loop to end and waits until it has.
+    """
+    sys.stdin.buffer.read()
+    handle.server.shutdown()
+
+
+def _reap(process: subprocess.Popen, timeout: float) -> Optional[int]:
+    """Close a worker's stdin (which asks it to stop) and wait for it:
+    its exit status, or ``None`` while it still runs."""
+    try:
+        process.stdin.close()
+    except OSError:
+        pass
+    try:
+        return process.wait(timeout)
+    except subprocess.TimeoutExpired:
+        return None
 
 
 # -- upstream connections ------------------------------------------------------
@@ -108,8 +164,8 @@ class _Upstream:
     ``Content-Length`` bodies over a buffered socket file.
     """
 
-    def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
-        self.sock = socket.create_connection((host, port), timeout=timeout)
+    def __init__(self, host: str, port: int) -> None:
+        self.sock = socket.create_connection((host, port), timeout=30.0)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self.sock.makefile("rb")
         self._host_header = f"{host}:{port}".encode("ascii")
@@ -174,7 +230,8 @@ class _WorkerDown(_Unavailable):
 
 
 class WorkerHandle:
-    """One worker's process, address, horizon and up/down status."""
+    """One worker's process (a :class:`subprocess.Popen`), address,
+    horizon and up/down status."""
 
     def __init__(self, spec: ServeSpec, machine_lo: int, machine_hi: int):
         self.spec = spec
@@ -199,7 +256,6 @@ class WorkerSupervisor:
     """Spawns the worker fleet, watches it, respawns the fallen."""
 
     def __init__(self, workers: list[WorkerHandle]):
-        self._ctx = multiprocessing.get_context("spawn")
         self.workers = workers
         self._machine_los = [w.machine_lo for w in self.workers]
         self._closing = threading.Event()
@@ -218,20 +274,39 @@ class WorkerSupervisor:
         self._thread.start()
 
     def _spawn(self, worker: WorkerHandle) -> None:
-        parent, child = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(worker.spec, child),
-            name=f"fgcs-worker-{worker.spec.worker_id}",
-            daemon=True,
-        )
-        process.start()
-        child.close()
+        read_fd, write_fd = os.pipe()
+        parent = Connection(read_fd, writable=False)
+        try:
+            process = subprocess.Popen(
+                [
+                    sys.executable,
+                    # The flags multiprocessing's spawn passes on too.
+                    *subprocess._args_from_interpreter_flags(),
+                    "-c",
+                    _WORKER_PROGRAM.format(fd=write_fd),
+                ],
+                stdin=subprocess.PIPE,
+                pass_fds=(write_fd,),
+            )
+        except BaseException:
+            parent.close()
+            raise
+        finally:
+            os.close(write_fd)
         name = f"worker {worker.spec.worker_id}"
         try:
+            try:
+                # ``worker_main`` is looked up now and pickled by
+                # reference, so a replaced module global runs instead.
+                process.stdin.write(
+                    pickle.dumps(sys.path) + pickle.dumps((worker_main, worker.spec))
+                )
+                process.stdin.flush()
+            except BrokenPipeError:
+                pass  # it died already; the report pipe says so
             if not parent.poll(_BOOT_TIMEOUT_S):
                 process.terminate()
-                process.join(5.0)
+                _reap(process, 5.0)
                 raise ServeError(
                     f"{name} did not report a port within "
                     f"{_BOOT_TIMEOUT_S:.0f}s"
@@ -239,15 +314,15 @@ class WorkerSupervisor:
             try:
                 report = parent.recv()
             except EOFError:
-                process.join(5.0)
+                status = _reap(process, 5.0)
                 raise ServeError(
-                    f"{name} exited (status {process.exitcode}) before "
+                    f"{name} exited (status {status}) before "
                     "reporting its port"
                 ) from None
         finally:
             parent.close()
         if isinstance(report, str):
-            process.join(5.0)
+            _reap(process, 5.0)
             raise ServeError(f"{name} failed to boot: {report}")
         port, horizon = report
         worker.note_horizon(horizon)
@@ -264,9 +339,10 @@ class WorkerSupervisor:
                 if self._closing.is_set():
                     break
                 process = worker.process
-                if process is not None and not process.is_alive():
+                if process is not None and process.poll() is not None:
                     with worker.lock:
                         worker.down = True
+                    _reap(process, 0.0)
                     try:
                         self._spawn(worker)
                     except Exception:
@@ -288,28 +364,18 @@ class WorkerSupervisor:
         self._closing.set()
         if self._thread is not None:
             self._thread.join(timeout)
-        for worker in self.workers:
-            process, port = worker.process, worker.port
-            if process is None or not process.is_alive():
-                continue
-            try:
-                up = _Upstream("127.0.0.1", port, timeout=5.0)
-                up.request("POST", "/v1/shutdown", b"")
-                up.close()
-            except OSError:
-                pass
+        # End-of-file on stdin stops every worker at once, as it would
+        # if the router died.
+        live = [w.process for w in self.workers if w.process is not None]
+        for process in live:
+            _reap(process, 0.0)
         deadline = time.monotonic() + timeout
-        for worker in self.workers:
-            process = worker.process
-            if process is None:
-                continue
-            process.join(max(0.1, deadline - time.monotonic()))
-            if process.is_alive():
+        for process in live:
+            if _reap(process, max(0.1, deadline - time.monotonic())) is None:
                 process.terminate()
-                process.join(2.0)
-            if process.is_alive():  # pragma: no cover - last resort
-                process.kill()
-                process.join(1.0)
+                if _reap(process, 2.0) is None:  # pragma: no cover - last resort
+                    process.kill()
+                    _reap(process, 1.0)
 
 
 # -- the router app ------------------------------------------------------------
@@ -607,8 +673,7 @@ def partition_shards(n_shards: int, n_workers: int) -> list[tuple[int, int]]:
 
 
 def start_router(
-    store: ShardedTraceDataset,
-    store_root: str,
+    store: Union[str, os.PathLike],
     *,
     n_workers: int,
     host: str = "127.0.0.1",
@@ -616,22 +681,26 @@ def start_router(
     registry: Optional[MetricsRegistry] = None,
     **knobs,
 ) -> ServeHandle:
-    """Spawn the worker fleet and start the router front on a thread.
+    """Start the worker fleet over the shard store at ``store`` (its
+    directory or its manifest file) and the router front on a thread.
 
-    ``n_workers`` is clamped to the shard count (a worker needs at least
-    one shard).  Workers always bind loopback; only the router binds
-    ``host``.  ``knobs`` are the workers' :class:`ServeSpec` fields.
+    The router reads only the store's manifest; each worker opens its
+    own shard range.  ``n_workers`` is clamped to the shard count (a
+    worker needs at least one shard).  Workers always bind loopback;
+    only the router binds ``host``.  ``knobs`` are the workers'
+    :class:`ServeSpec` fields.
     """
-    spec = ServeSpec(trace=str(store_root), **knobs)
-    shards = store.manifest.shards
+    manifest = ShardManifest.load(store)
+    spec = ServeSpec(trace=str(store), **knobs)
+    shards = manifest.shards
     workers = [
         WorkerHandle(
             dataclasses.replace(spec, worker_id=i, shard_range=(lo, hi)),
             shards[lo].machine_lo,
             shards[hi - 1].machine_hi,
         )
-        for i, (lo, hi) in enumerate(partition_shards(store.n_shards, n_workers))
+        for i, (lo, hi) in enumerate(partition_shards(manifest.n_shards, n_workers))
     ]
     supervisor = WorkerSupervisor(workers)
     supervisor.start()
-    return ServeHandle(RouterApp(supervisor, store.n_machines, registry), host, port)
+    return ServeHandle(RouterApp(supervisor, manifest.n_machines, registry), host, port)

@@ -18,7 +18,11 @@ The HTTP shell (:class:`_Handler`, :class:`ServeHandle`) is a
 handful of client threads), one daemon thread per connection, JSON in
 and out with ``Content-Length``.  :func:`boot` starts one serving
 process from a :class:`ServeSpec`; the CLI and every router worker use
-it.
+it.  The module loads only the HTTP and JSON machinery: :class:`ServeApp`
+and :func:`boot` import the state stack (:mod:`~repro.serve.state`,
+:mod:`~repro.serve.ingest`, :mod:`repro.prediction.base`) when they run,
+so the router, which runs only the :class:`Pipeline`, loads none of it
+and no NumPy.
 
 Endpoints (see ``docs/serving.md`` for the full API):
 
@@ -63,7 +67,7 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from ..errors import (
@@ -75,9 +79,10 @@ from ..errors import (
     WorkerRangeError,
 )
 from ..obs.metrics import MetricsRegistry
-from ..prediction.base import PredictionQuery
-from .ingest import AsyncIngester
-from .state import ServeState, mean_survival
+
+if TYPE_CHECKING:  # the router loads neither the state stack nor NumPy
+    from .ingest import AsyncIngester
+    from .state import ServeState
 
 __all__ = [
     "Pipeline",
@@ -86,6 +91,7 @@ __all__ = [
     "ServeSpec",
     "Window",
     "boot",
+    "mean_survival",
     "start_server",
 ]
 
@@ -122,6 +128,21 @@ class _Reply(ServeError):
         self.status = status
         self.payload = payload
         self.headers = headers or {}
+
+
+def mean_survival(
+    clean_windows: int, machines: int, history_days: int, laplace: float
+) -> float:
+    """Fleet mean of the per-machine survival ``(clean + L) / (n + 2L)``.
+
+    One division over integer totals, ``(clean + N*L) / (N*(n + 2L))``.
+    Every partition anchors its history at the fleet horizon, so all of
+    them average over the same ``n`` days, and a router summing its
+    workers' ``clean_windows`` gets the same float as a single process.
+    """
+    return (clean_windows + machines * laplace) / (
+        machines * (history_days + 2 * laplace)
+    )
 
 
 def _ok(result: tuple[int, dict, dict]) -> dict:
@@ -382,15 +403,21 @@ class ServeApp(Pipeline):
         worker_id: Optional[int] = None,
     ) -> None:
         super().__init__(registry)
+        if ingester is None:
+            from .ingest import AsyncIngester
+
+            ingester = AsyncIngester(state)
         self.state = state
         self.laplace = state.laplace
-        self.ingester = ingester if ingester is not None else AsyncIngester(state)
+        self.ingester = ingester
         self.worker_id = worker_id
 
     def fleet_horizon(self) -> int:
         return self.state.horizon_day
 
     def point(self, machine: int, w: Window, target: str) -> dict:
+        from ..prediction.base import PredictionQuery
+
         query = PredictionQuery(
             machine_id=machine,
             day=w.day,
@@ -659,6 +686,8 @@ def boot(
     from pathlib import Path
 
     from ..traces import is_shard_store, load_columns, open_shards
+    from .ingest import AsyncIngester
+    from .state import ServeState
 
     knobs = dict(
         block_machines=spec.block_machines,

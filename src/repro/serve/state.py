@@ -112,13 +112,13 @@ from ..prediction.base import (
 from ..traces.records import CODE_TO_STATE, EventColumns
 from ..traces.shards import ShardedTraceDataset
 from .paging import BlockPager
+from .server import mean_survival
 
 __all__ = [
     "IngestResult",
     "ServeState",
     "TierStats",
     "ValidatedBatch",
-    "mean_survival",
 ]
 
 #: Failure-state names accepted on the ingest boundary, by on-disk code.
@@ -126,21 +126,6 @@ _STATE_NAMES = {code: state.value for code, state in CODE_TO_STATE.items()}
 
 #: Overlay-snapshot document version (bump on incompatible layout change).
 SNAPSHOT_VERSION = 1
-
-
-def mean_survival(
-    clean_windows: int, machines: int, history_days: int, laplace: float
-) -> float:
-    """Fleet mean of the per-machine survival ``(clean + L) / (n + 2L)``.
-
-    One division over integer totals, ``(clean + N*L) / (N*(n + 2L))``.
-    Every partition anchors its history at the fleet horizon, so all of
-    them average over the same ``n`` days, and a router summing its
-    workers' ``clean_windows`` gets the same float as a single process.
-    """
-    return (clean_windows + machines * laplace) / (
-        machines * (history_days + 2 * laplace)
-    )
 
 
 @dataclass(frozen=True)

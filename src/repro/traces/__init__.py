@@ -26,23 +26,23 @@ _EXPORTS = {
     "dataset_metadata": ".generate",
     "generate_dataset": ".generate",
     "generate_dataset_columns": ".generate",
-    "TRACE_FORMATS": ".io",
     "detect_format": ".io",
     "load_columns": ".io",
     "load_dataset": ".io",
     "save_columns": ".io",
     "save_dataset": ".io",
+    "TRACE_FORMATS": ".manifest",
+    "ShardInfo": ".manifest",
+    "ShardManifest": ".manifest",
+    "is_shard_store": ".manifest",
     "EventColumns": ".records",
     "EventRecord": ".records",
     "columns_to_events": ".records",
     "events_to_columns": ".records",
     "validate_columns": ".records",
     "ShardedTraceDataset": ".shards",
-    "ShardInfo": ".shards",
-    "ShardManifest": ".shards",
     "convert_shards": ".shards",
     "generate_shards": ".shards",
-    "is_shard_store": ".shards",
     "open_shards": ".shards",
     "partition_machines": ".shards",
     "write_shards": ".shards",

@@ -39,6 +39,7 @@ from ..errors import TraceError
 from ..obs.metrics import get_registry
 from ..units import HOUR
 from .dataset import TraceDataset
+from .manifest import TRACE_FORMATS
 from .records import (
     EVENT_DTYPE,
     EventColumns,
@@ -59,9 +60,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-#: The lossless dataset formats ``save_dataset`` accepts.
-TRACE_FORMATS = ("jsonl", "binary")
 
 #: File suffixes that imply the binary format when ``format`` is omitted.
 _BINARY_SUFFIXES = (".bin", ".fgcsbin")

@@ -28,6 +28,15 @@ def _tiny_trace(path, span: float):
 #: Tiny traces: less than a day, and one weekday only.
 TINY_SPANS = {"six-hours": 6 * HOUR, "one-weekday": DAY}
 
+#: Everything ``report`` writes for a trace long enough for all of it.
+REPORT_ARTIFACTS = sorted(
+    f"{name}.txt"
+    for name in (
+        "table2", "figure6", "figure7", "interval_fits", "hazard",
+        "predictability", "weekday_profile", "capacity", "landmarks",
+    )
+)
+
 
 class TestAnalyzeCheck:
     def test_check_flag_runs_landmarks(self, tmp_path, capsys):
@@ -62,6 +71,14 @@ def _error_line(capsys, rc: int) -> str:
     return line
 
 
+#: ``predict`` and ``schedule`` on the six-hour trace (0 whole days)
+#: with the default 63 training days.
+TOO_SHORT_TO_TRAIN = (
+    "error: train_days must be at least 1 and leave a test day; got 63 "
+    "for a trace of 0 whole day(s), and a split needs at least 2"
+)
+
+
 class TestErrorPaths:
     def test_missing_trace_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.jsonl"
@@ -79,7 +96,22 @@ class TestErrorPaths:
     def test_trace_too_short_to_train_on(self, tmp_path, capsys):
         trace = _tiny_trace(tmp_path / "t.jsonl", TINY_SPANS["six-hours"])
         rc = cli.main(["predict", "--trace", str(trace)])
-        assert "train_days" in _error_line(capsys, rc)
+        assert _error_line(capsys, rc) == TOO_SHORT_TO_TRAIN
+
+    def test_schedule_trace_too_short_to_train_on(self, tmp_path, capsys):
+        trace = _tiny_trace(tmp_path / "t.jsonl", TINY_SPANS["six-hours"])
+        rc = cli.main(["schedule", "--trace", str(trace)])
+        assert _error_line(capsys, rc) == TOO_SHORT_TO_TRAIN
+
+    def test_report_does_not_swallow_a_bug(self, tmp_path, monkeypatch):
+        # Only a ReproError (too few intervals) skips an artifact.
+        def broken(*args, **kwargs):
+            raise ValueError("a bug in hazard_curve")
+
+        monkeypatch.setattr("repro.analysis.hazard.hazard_curve", broken)
+        trace = _tiny_trace(tmp_path / "t.jsonl", TINY_SPANS["one-weekday"])
+        with pytest.raises(ValueError, match="a bug in hazard_curve"):
+            cli.main(["report", str(tmp_path / "rep"), "--trace", str(trace)])
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(SystemExit):
@@ -109,8 +141,12 @@ class TestTinyTraces:
         assert rc == 1  # two events cannot meet the paper's landmarks
         written = sorted(p.name for p in (tmp_path / "rep").iterdir())
         assert written == ["landmarks.txt", "table2.txt"]
-        for name in ("figure6.txt", "figure7.txt", "interval_fits.txt"):
-            assert f"{name} skipped: " in out
+        skipped = [
+            line.split(" skipped: ")[0]
+            for line in out.splitlines()
+            if " skipped: " in line
+        ]
+        assert sorted(written + skipped) == REPORT_ARTIFACTS
         assert "Warning" not in err and "Traceback" not in err
 
     def test_analyze_check_prints_no_warning(self, tmp_path, capsys, span):
@@ -132,4 +168,6 @@ class TestReportExitCode:
         # rc mirrors the landmark verdict (small traces may drift on the
         # count-range landmarks); the artifacts must exist either way.
         assert rc in (0, 1)
-        assert (tmp_path / "rep" / "landmarks.txt").exists()
+        written = sorted(p.name for p in (tmp_path / "rep").iterdir())
+        assert written == REPORT_ARTIFACTS
+        assert " skipped: " not in capsys.readouterr().out

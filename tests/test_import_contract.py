@@ -1,14 +1,23 @@
-"""The serving import contract and the lazy package API.
+"""The serving import contract, the router's process tree and the lazy
+package API.
 
-A serve process (the CLI, the router, each spawned worker) imports only
-the trace-reading, prediction and serving layers.  The generator, the
+A serve process (the CLI, the router, each worker) imports only the
+trace-reading, prediction and serving layers.  The generator, the
 simulation stack and scipy stay out of its import graph: serving never
 synthesizes a sample, and loading them cost every serve interpreter
-about a second and 70 MiB.  Of the prediction layer it loads only
+about a second and 70 MiB.  Of the prediction layer a worker loads only
 ``repro.prediction.base`` (``PredictionQuery``), not the other
-predictors or the evaluation harness.  ``repro``, ``repro.traces`` and
-``repro.prediction`` export their public names lazily (PEP 562) so that
-this holds while ``from repro import generate_dataset`` keeps working.
+predictors or the evaluation harness.  The router holds no predictor
+state, so it loads neither the state stack nor NumPy: it reads the
+store's manifest and forwards requests.  ``repro``, ``repro.traces``,
+``repro.prediction`` and ``repro.serve`` export their public names
+lazily (PEP 562) so that this holds while ``from repro import
+generate_dataset`` keeps working.
+
+A router's only children are its workers, plain interpreters: no
+``multiprocessing`` resource tracker runs beside them, and a worker
+whose router dies drains its ingest queue, writes its final snapshot
+and exits.
 
 A generating process loads no ``scipy.signal`` either: the load model's
 AR(1) filter calls scipy's compiled kernel directly
@@ -35,10 +44,11 @@ import pytest
 
 import repro
 import repro.prediction
+import repro.serve
 import repro.traces
 from repro.config import FgcsConfig, TestbedConfig
-from repro.serve import ServeClient
-from repro.traces.shards import generate_shards
+from repro.serve import ServeClient, ServeState
+from repro.traces.shards import generate_shards, open_shards
 from repro.units import DAY
 
 #: Modules a serve process must not load (a name or any submodule of it).
@@ -73,22 +83,42 @@ def _forbidden(modules) -> list[str]:
     )
 
 
-def test_serve_entry_points_import_no_generator_or_scipy():
-    code = (
-        "import json, sys\n"
-        "import repro.cli, repro.serve, repro.serve.router\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
-    )
+def _modules(code: str, *args: str) -> list[str]:
+    """``sys.modules`` after ``code`` runs in a fresh interpreter."""
+    code = f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))\n"
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         env=_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    modules = json.loads(proc.stdout)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_router_imports_neither_numpy_nor_prediction():
+    modules = _modules("import repro.cli, repro.serve.router")
     assert "repro.serve.router" in modules
+    assert _forbidden(modules) == []
+    assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+    assert [m for m in modules if m.startswith("repro.prediction")] == []
+    assert [m for m in modules if m.startswith("repro.serve.")] == [
+        "repro.serve.router",
+        "repro.serve.server",
+    ]
+
+
+def test_serve_entry_points_import_no_generator_or_scipy(tiny_store):
+    # What a worker interpreter runs: the router module (its entry
+    # point), then ``boot`` over its shard range, which builds the state.
+    code = (
+        "import repro.serve.router\n"
+        "from repro.serve.server import ServeSpec, boot\n"
+        "boot(ServeSpec(sys.argv[1], worker_id=0, shard_range=(0, 1))).close()\n"
+    )
+    modules = _modules(code, str(tiny_store))
+    assert "repro.serve.state" in modules
     assert _forbidden(modules) == []
     prediction = [m for m in modules if m.startswith("repro.prediction.")]
     assert prediction == ["repro.prediction.base"]
@@ -97,22 +127,9 @@ def test_serve_entry_points_import_no_generator_or_scipy():
 def test_cli_import_loads_neither_numpy_nor_serve():
     # `batch` setup time includes this import; every subcommand loads
     # what it needs when it runs.
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import json, sys\nimport repro.cli\n"
-            "print(json.dumps(sorted(sys.modules)))\n",
-        ],
-        capture_output=True,
-        text=True,
-        env=_env(),
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
     loaded = [
         m
-        for m in json.loads(proc.stdout)
+        for m in _modules("import repro.cli")
         if m.split(".")[0] == "numpy" or m.startswith("repro.serve")
     ]
     assert loaded == []
@@ -202,11 +219,23 @@ def _children(pid: int) -> list[int]:
     return kids
 
 
-def _scipy_mappings(pid: int) -> list[str]:
-    """Mapped files under a ``scipy`` directory (numpy's bundled
-    ``numpy.libs/libscipy_openblas*`` is not one)."""
+def _running(pid: int) -> bool:
+    """``pid`` exists and has not exited (an unreaped zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+def _mappings(pid: int, package: str) -> list[str]:
+    """Mapped files under a ``package`` directory (numpy's bundled
+    ``numpy.libs/libscipy_openblas*`` is under neither ``scipy/`` nor
+    ``numpy/``)."""
     maps = Path(f"/proc/{pid}/maps").read_text().splitlines()
-    return sorted({line.split()[-1] for line in maps if "/scipy/" in line})
+    return sorted(
+        {line.split()[-1] for line in maps if f"/{package}/" in line}
+    )
 
 
 def _read_url(proc: subprocess.Popen, timeout: float) -> str:
@@ -239,59 +268,103 @@ def tiny_store(tmp_path_factory):
     return root
 
 
-@pytest.mark.skipif(
-    not Path("/proc/self/maps").exists(), reason="needs /proc/<pid>/maps"
-)
-def test_live_router_and_workers_never_map_scipy(tiny_store):
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "serve",
-            str(tiny_store),
-            "--workers",
-            "2",
-        ],
+def _serve(store: Path, *args: str) -> subprocess.Popen:
+    """``serve STORE --workers 2 ARGS`` in its own session."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", str(store),
+         "--workers", "2", *args],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
         env=_env(),
         start_new_session=True,
     )
+
+
+def _stop_group(proc: subprocess.Popen) -> None:
+    """The workers share the daemon's session; a failed assertion must
+    not leave them running after the router is gone."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait(timeout=60)
+    proc.stderr.close()
+
+
+def _workers(router: int) -> list[int]:
+    """The router's children: exactly its two workers, each started as
+    a plain interpreter through the router's entry point."""
+    children = sorted(_children(router))
+    assert len(children) == 2, children
+    for pid in children:
+        cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
+        assert b"from repro.serve.router import run_worker" in cmdline, cmdline
+    return children
+
+
+_BATCH = [
+    {"machine_id": m, "start": N_DAYS * DAY + 60.0 * m,
+     "end": N_DAYS * DAY + 60.0 * m + 600.0, "state": 3}
+    for m in range(4)
+]
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/maps").exists(), reason="needs /proc/<pid>/maps"
+)
+def test_live_router_and_workers_never_map_scipy(tiny_store):
+    proc = _serve(tiny_store)
     try:
         url = _read_url(proc, timeout=120)
-        workers = [
-            pid
-            for pid in _children(proc.pid)
-            if b"spawn_main" in Path(f"/proc/{pid}/cmdline").read_bytes()
-        ]
-        assert len(workers) == 2
-        base = N_DAYS * DAY
+        workers = _workers(proc.pid)
         with ServeClient(url) as client:
             client.availability(1, 6.0, day=7, hour=9.0)
             client.capacity(6.0, day=7, hour=0.0)
             client.rank(6.0, k=3, day=7, hour=0.0)
-            client.ingest(
-                [
-                    {"machine_id": m, "start": base + 60.0 * m,
-                     "end": base + 60.0 * m + 600.0, "state": 3}
-                    for m in range(4)
-                ]
-            )
+            client.ingest(_BATCH)
             client.flush()
             for pid in [proc.pid, *workers]:
-                assert _scipy_mappings(pid) == [], pid
+                assert _mappings(pid, "scipy") == [], pid
+            assert _mappings(proc.pid, "numpy") == []
+            # Still the two workers: no resource tracker came up either.
+            assert _workers(proc.pid) == workers
             client.shutdown()
         assert proc.wait(timeout=60) == 0
     finally:
-        # The workers share the daemon's session; a failed assertion
-        # must not leave them running after the router is gone.
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        proc.wait(timeout=60)
-        proc.stderr.close()
+        _stop_group(proc)
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="needs /proc/<pid>/stat"
+)
+def test_workers_snapshot_and_exit_when_the_router_is_killed(
+    tiny_store, tmp_path
+):
+    # End-of-file on a worker's stdin means its router is gone.  Without
+    # --snapshot-every the only snapshot is the final one, so the files
+    # prove that both workers drained their queues on the way out.
+    proc = _serve(tiny_store, "--snapshot-dir", str(tmp_path))
+    try:
+        url = _read_url(proc, timeout=120)
+        workers = _workers(proc.pid)
+        with ServeClient(url) as client:
+            ack = client.ingest(_BATCH)
+        assert (ack["accepted"], ack["workers"]) == (4, 2)
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10.0
+        while any(_running(pid) for pid in workers):
+            assert time.monotonic() < deadline, "workers outlived the router"
+            time.sleep(0.05)
+    finally:
+        _stop_group(proc)
+    store = open_shards(tiny_store)
+    restored = [
+        ServeState.from_store(store, shard_range=(i, i + 1))
+        .restore_overlay_snapshot(tmp_path / f"worker{i}.npz")
+        for i in range(2)
+    ]
+    assert restored == [2, 2]
 
 
 # -- the lazy public API -------------------------------------------------------
@@ -299,7 +372,7 @@ def test_live_router_and_workers_never_map_scipy(tiny_store):
 
 @pytest.mark.parametrize(
     "package",
-    [repro, repro.traces, repro.prediction],
+    [repro, repro.traces, repro.prediction, repro.serve],
     ids=lambda p: p.__name__,
 )
 class TestLazyExports:

@@ -35,7 +35,7 @@ from repro.serve import (
     ServeState,
     start_server,
 )
-from repro.serve.state import mean_survival
+from repro.serve.server import mean_survival
 from repro.traces.generate import generate_dataset
 from repro.traces.records import EventColumns
 from repro.traces.shards import generate_shards, open_shards

@@ -38,7 +38,7 @@ from repro.errors import IngestOrderError, NoHistoryError, PredictionError
 from repro.prediction.base import PredictionQuery
 from repro.prediction.history import HistoryWindowPredictor
 from repro.serve import AsyncIngester, ServeState
-from repro.serve.state import mean_survival
+from repro.serve.server import mean_survival
 from repro.traces.dataset import TraceDataset
 from repro.traces.generate import generate_dataset
 from repro.traces.records import (

@@ -72,10 +72,8 @@ def batch_predictor(fleet):
 
 @pytest.fixture(scope="module")
 def router(fleet):
-    root, store = fleet
-    with start_router(
-        store, str(root), n_workers=2, block_machines=2
-    ) as handle:
+    root, _ = fleet
+    with start_router(root, n_workers=2, block_machines=2) as handle:
         with ServeClient(handle.url) as client:
             yield handle, client
 
@@ -165,7 +163,7 @@ class TestRouterMatchesSingleProcess:
         assert expected[4][1]["history_days"] == 8
         assert expected[5][1]["history_days"] == 6
         for n_workers in (1, 2):
-            with start_router(store, str(root), n_workers=n_workers) as handle:
+            with start_router(root, n_workers=n_workers) as handle:
                 with ServeClient(handle.url) as client:
                     client.ingest([event])
                     client.flush()
@@ -323,7 +321,7 @@ class TestCrossWorkerIngest:
                 expected = client.request_raw("POST", "/v1/ingest", body)
         assert expected == (400, {"error": "machine 9 outside fleet [0, 4)"})
         for n_workers in (1, 2):
-            with start_router(store, str(root), n_workers=n_workers) as handle:
+            with start_router(root, n_workers=n_workers) as handle:
                 with ServeClient(handle.url) as client:
                     got = client.request_raw("POST", "/v1/ingest", body)
                     query = client.request_raw(
@@ -394,8 +392,7 @@ class TestWorkerCrashRecovery:
         snapshot_dir = tmp_path / "snapshots"
         snapshot_dir.mkdir()
         with start_router(
-            store,
-            str(root),
+            root,
             n_workers=2,
             block_machines=3,
             snapshot_dir=str(snapshot_dir),
@@ -416,8 +413,8 @@ class TestWorkerCrashRecovery:
 
                 victim = handle.supervisor.workers[1]
                 victim.process.kill()
-                victim.process.join(10.0)
-                assert not victim.process.is_alive()
+                victim.process.wait(10.0)
+                assert victim.process.poll() is not None
 
                 # Dead range: 503 with a retry hint.  Live range: still 200.
                 status, payload = client.request_raw(
@@ -465,6 +462,44 @@ class TestWorkerCrashRecovery:
                 )["available"]
 
 
+class TestWorkerShutdown:
+    def test_end_of_file_racing_a_shutdown_request_stops_cleanly(
+        self, fleet, tmp_path
+    ):
+        # A worker stops on POST /v1/shutdown and on end-of-file on its
+        # stdin (its router is gone).  Both at once is one clean stop:
+        # exit 0 and a final snapshot holding the acknowledged event.
+        root, store = fleet
+        base = N_DAYS * DAY
+        event = {"machine_id": 0, "start": base + 60.0, "end": base + 660.0,
+                 "state": 3}
+        with start_router(root, n_workers=1, snapshot_dir=str(tmp_path)) as handle:
+            with ServeClient(handle.url) as client:
+                assert client.ingest([event])["accepted"] == 1
+            worker = handle.supervisor.workers[0]
+            process = worker.process
+
+            def shutdown_request() -> None:
+                try:
+                    with ServeClient(
+                        f"http://127.0.0.1:{worker.port}", connect_retries=0
+                    ) as direct:
+                        direct.shutdown()
+                except OSError:
+                    pass  # end-of-file won: the listener is already gone
+
+            request = threading.Thread(target=shutdown_request)
+            request.start()
+            process.stdin.close()
+            request.join(30.0)
+            assert not request.is_alive()
+            assert process.wait(30.0) == 0
+        state = ServeState.from_columns(
+            EventColumns.from_dataset(store.load_full())
+        )
+        assert state.restore_overlay_snapshot(tmp_path / "worker0.npz") == 1
+
+
 def _truncated_npz(path: Path) -> None:
     np.savez(path, meta=np.arange(9))
     data = path.read_bytes()
@@ -485,15 +520,13 @@ class TestBootFailure:
     def test_corrupt_snapshot_raises_serve_error(
         self, fleet, tmp_path, corruption
     ):
-        root, store = fleet
+        root, _ = fleet
         CORRUPTIONS[corruption](tmp_path / "worker0.npz")
         with pytest.raises(
             ServeError,
             match="worker 0 failed to boot: cannot read overlay snapshot",
         ):
-            start_router(
-                store, str(root), n_workers=2, snapshot_dir=str(tmp_path)
-            )
+            start_router(root, n_workers=2, snapshot_dir=str(tmp_path))
 
     def test_cli_exits_2_with_the_worker_message(self, fleet, tmp_path):
         root, _ = fleet
