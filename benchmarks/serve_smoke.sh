@@ -8,16 +8,20 @@
 # most 4 resident shards; WORKERS=2 is the router over two workers with
 # 16-machine block paging, a 4096-event ingest queue and a snapshot
 # after every batch.  The test queries every endpoint, sends 500 point
-# reads and one ingest batch that spans both halves of the fleet, checks
-# the daemon's process tree and logs each process's peak RSS (VmHWM),
-# shuts the daemon down, and checks the manifest it wrote to MANIFEST.
+# reads and one ingest batch that spans both halves of the fleet, sends
+# a dry-run ingest with `Expect: 100-continue` over a raw socket (its
+# answer must take under 0.5 s), checks the daemon's process tree and
+# that no process of it maps libssl, logs each process's peak RSS
+# (VmHWM), shuts the daemon down, and checks the manifest it wrote to
+# MANIFEST.
 # `make serve-smoke` and CI run both topologies; the baseline refresh
 # scripts run it to write the committed manifests.
 set -eu
 
 workers=$1 fleet=$2 manifest=$3
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+# A failed check must not leave the daemon running.
+trap 'kill "${serve_pid:-}" 2>/dev/null || true; rm -rf "$tmp"' EXIT
 
 if [ "$workers" -eq 1 ]; then
     topology="--hot-shards 4"
@@ -79,6 +83,40 @@ with ServeClient(url) as client:
     assert client.flush()["workers"] == workers
 print(f"serve smoke, {workers} worker(s): 500 queries + ingest OK")
 EOF
+# `Expect: 100-continue`: the shell sends the interim answer before it
+# reads the body.  This client waits up to 1 s for it, as curl does, and
+# then sends the body anyway, so a held-back interim answer shows as a
+# slow request.
+PYTHONPATH=src python - "$url" <<'EOF'
+import json
+import socket
+import sys
+import time
+from urllib.parse import urlsplit
+
+url = urlsplit(sys.argv[1])
+start = 14 * 86400.0
+body = json.dumps([[3, start + 600.0, start + 1800.0, 3]]).encode()
+t0 = time.monotonic()
+with socket.create_connection((url.hostname, url.port), timeout=5.0) as sock:
+    sock.sendall(
+        b"POST /v1/ingest?dry=1 HTTP/1.1\r\nHost: smoke\r\n"
+        b"Expect: 100-continue\r\nContent-Length: %d\r\n\r\n" % len(body)
+    )
+    sock.settimeout(1.0)
+    try:
+        interim = sock.recv(64)
+    except socket.timeout:
+        interim = b""
+    sock.settimeout(5.0)
+    sock.sendall(body)
+    status = sock.makefile("rb").readline()
+elapsed = time.monotonic() - t0
+assert interim == b"HTTP/1.1 100 Continue\r\n\r\n", interim
+assert status.startswith(b"HTTP/1.1 200 "), status
+assert elapsed < 0.5, f"Expect: 100-continue ingest took {elapsed:.3f} s"
+print(f"Expect: 100-continue dry ingest answered in {elapsed * 1e3:.1f} ms")
+EOF
 # The process tree: a router's only children are its workers (no
 # multiprocessing resource tracker), and a single process has none.
 # Each process's peak resident set goes to the log, so a tracker or
@@ -86,6 +124,11 @@ EOF
 children=$(cat /proc/"$serve_pid"/task/*/children)
 for pid in "$serve_pid" $children; do
     echo "pid $pid $(grep VmHWM /proc/"$pid"/status | tr -s ' \t' ' ')"
+    # The HTTP shell needs no TLS, so no process loads ssl.
+    if grep -q -e '/libssl' -e '/_ssl' /proc/"$pid"/maps; then
+        echo "process $pid maps libssl"
+        exit 1
+    fi
 done
 expected=$workers
 [ "$workers" -eq 1 ] && expected=0

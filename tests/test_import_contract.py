@@ -14,6 +14,12 @@ store's manifest and forwards requests.  ``repro``, ``repro.traces``,
 lazily (PEP 562) so that this holds while ``from repro import
 generate_dataset`` keeps working.
 
+No serving process loads the standard library's HTTP server,
+``http.client``, ``email`` or ``ssl``: the HTTP shell reads requests and
+worker answers with bytes operations, so no serving process maps
+``libssl`` either, and the router, which verifies no shard, maps no
+``libcrypto`` (workers keep ``hashlib`` for shard checksums).
+
 A router's only children are its workers, plain interpreters: no
 ``multiprocessing`` resource tracker runs beside them, and a worker
 whose router dies drains its ingest queue, writes its final snapshot
@@ -63,6 +69,10 @@ FORBIDDEN = (
     "repro.analysis",
     "repro.scenarios",
     "repro.traces.generate",
+    "http.server",
+    "http.client",
+    "email",
+    "ssl",
 )
 
 N_DAYS = 14
@@ -238,6 +248,18 @@ def _mappings(pid: int, package: str) -> list[str]:
     )
 
 
+def _mapped_files(pid: int, *prefixes: str) -> list[str]:
+    """Mapped files whose name starts with one of ``prefixes``."""
+    maps = Path(f"/proc/{pid}/maps").read_text().splitlines()
+    return sorted(
+        {
+            line.split()[-1]
+            for line in maps
+            if line.split()[-1].rsplit("/", 1)[-1].startswith(prefixes)
+        }
+    )
+
+
 def _read_url(proc: subprocess.Popen, timeout: float) -> str:
     """The URL the daemon prints on stderr once it serves."""
     deadline = time.monotonic() + timeout
@@ -325,7 +347,9 @@ def test_live_router_and_workers_never_map_scipy(tiny_store):
             client.flush()
             for pid in [proc.pid, *workers]:
                 assert _mappings(pid, "scipy") == [], pid
+                assert _mapped_files(pid, "libssl", "_ssl") == [], pid
             assert _mappings(proc.pid, "numpy") == []
+            assert _mapped_files(proc.pid, "libcrypto") == []
             # Still the two workers: no resource tracker came up either.
             assert _workers(proc.pid) == workers
             client.shutdown()

@@ -14,12 +14,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import socket
+import time
 
 import numpy as np
 import pytest
 
 from repro.config import FgcsConfig, TestbedConfig
 from repro.errors import ServeError
+from repro.obs import metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.prediction.base import (
     CountMatrix,
@@ -417,6 +419,199 @@ class TestContentLength:
         head, _, body = received.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400"), received
         assert "Content-Length" in json.loads(body)["error"]
+
+
+def _read_answer(rfile) -> tuple[int, dict, dict]:
+    """One answer off a raw connection: ``(status, headers, payload)``."""
+    status = int(rfile.readline().split()[1])
+    headers = {}
+    while (line := rfile.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    payload = json.loads(rfile.read(int(headers["content-length"])))
+    return status, headers, payload
+
+
+def _closed(sock: socket.socket) -> bool:
+    """The server closed the connection: the next read is end-of-file."""
+    return sock.recv(1) == b""
+
+
+@pytest.fixture(scope="module")
+def wire(golden_columns):
+    """A single-process server for raw-socket exchanges."""
+    with start_server(ServeState.from_columns(golden_columns)) as handle:
+        yield handle
+
+
+def _connect(handle) -> socket.socket:
+    return socket.create_connection((handle.host, handle.port), timeout=10.0)
+
+
+_DRY_EVENT = json.dumps(
+    [{"machine_id": 0, "start": 30 * DAY, "end": 30 * DAY + 60, "state": "S5"}]
+).encode()
+
+
+class TestWireContract:
+    """The shell's HTTP/1.1 contract, over raw sockets."""
+
+    def test_expect_100_continue_is_answered_before_the_body(self, wire):
+        with _connect(wire) as sock:
+            sock.sendall(
+                b"POST /v1/ingest?dry=1 HTTP/1.1\r\nHost: test\r\n"
+                b"Expect: 100-continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(_DRY_EVENT)
+            )
+            # The interim answer must arrive while the body is unsent.
+            sock.settimeout(0.5)
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += sock.recv(1)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.settimeout(10.0)
+            sock.sendall(_DRY_EVENT)
+            status, _, payload = _read_answer(sock.makefile("rb"))
+        assert status == 200
+        assert (payload["accepted"], payload["dry"]) == (1, True)
+
+    def test_malformed_request_line_gets_json_400_and_close(self, wire):
+        with _connect(wire) as sock:
+            sock.sendall(b"garbage\r\n\r\n")
+            status, headers, payload = _read_answer(sock.makefile("rb"))
+            assert _closed(sock)
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert "malformed request line" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "method,path,expected",
+        [("DELETE", "/healthz", 405), ("PUT", "/v1/ingest", 405), ("PATCH", "/nope", 404)],
+    )
+    def test_other_methods_get_the_pipeline_answer(self, wire, method, path, expected):
+        with _connect(wire) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(f"{method} {path} HTTP/1.1\r\nHost: test\r\n\r\n".encode())
+            status, _, payload = _read_answer(rfile)
+            # The connection stays usable.
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            assert _read_answer(rfile)[0] == 200
+        assert status == expected
+        assert set(payload) == {"error"}
+
+    @pytest.mark.parametrize(
+        "request_bytes,expected",
+        [
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+            (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+            (b"GET /healthz HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n", 431),
+            (
+                b"POST /v1/ingest HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"5\r\nhello\r\n0\r\n\r\n",
+                411,
+            ),
+            (b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", 400),
+            (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+        ],
+        ids=[
+            "long-request-line",
+            "long-header-line",
+            "101-headers",
+            "chunked",
+            "header-without-colon",
+            "http-2",
+        ],
+    )
+    def test_unframeable_requests_get_json_errors_and_close(
+        self, wire, request_bytes, expected
+    ):
+        with _connect(wire) as sock:
+            sock.sendall(request_bytes)
+            status, headers, payload = _read_answer(sock.makefile("rb"))
+            assert _closed(sock)
+        assert status == expected
+        assert headers["connection"] == "close"
+        assert set(payload) == {"error"}
+
+    def test_head_gets_the_headers_without_a_body(self, wire):
+        with _connect(wire) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(b"HEAD /healthz HTTP/1.1\r\n\r\n")
+            assert rfile.readline().startswith(b"HTTP/1.1 405 ")
+            while rfile.readline() != b"\r\n":
+                pass
+            # No body follows: the next bytes are the next answer.
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert _read_answer(rfile)[0] == 200
+
+    def test_a_hundred_headers_are_accepted(self, wire):
+        with _connect(wire) as sock:
+            sock.sendall(
+                b"GET /healthz HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 100 + b"\r\n"
+            )
+            assert _read_answer(sock.makefile("rb"))[0] == 200
+
+    @pytest.mark.parametrize(
+        "version,connection",
+        [("HTTP/1.0", None), ("HTTP/1.1", "close")],
+    )
+    def test_answered_then_closed(self, wire, version, connection):
+        header = f"Connection: {connection}\r\n" if connection else ""
+        with _connect(wire) as sock:
+            sock.sendall(f"GET /healthz {version}\r\n{header}\r\n".encode())
+            status, headers, payload = _read_answer(sock.makefile("rb"))
+            assert _closed(sock)
+        assert status == 200 and payload["ok"]
+        assert headers["connection"] == "close"
+
+    def test_http10_keep_alive_stays_open(self, wire):
+        with _connect(wire) as sock:
+            rfile = sock.makefile("rb")
+            for _ in range(2):
+                sock.sendall(b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
+                status, headers, _ = _read_answer(rfile)
+                assert status == 200
+                assert "connection" not in headers
+
+    def test_two_requests_in_one_send_get_two_answers_in_order(self, wire):
+        with _connect(wire) as sock:
+            sock.sendall(
+                b"GET /v1/availability?machine=0&duration=6 HTTP/1.1\r\n\r\n"
+                b"GET /v1/availability?machine=3&duration=6 HTTP/1.1\r\n\r\n"
+            )
+            rfile = sock.makefile("rb")
+            answers = [_read_answer(rfile) for _ in range(2)]
+        assert [status for status, _, _ in answers] == [200, 200]
+        assert [payload["machine"] for _, _, payload in answers] == [0, 3]
+
+    def test_body_split_across_two_sends_is_read_whole(self, wire):
+        head = (
+            b"POST /v1/ingest?dry=1 HTTP/1.1\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(_DRY_EVENT)
+        )
+        with _connect(wire) as sock:
+            sock.sendall(head + _DRY_EVENT[:10])
+            time.sleep(0.05)
+            sock.sendall(_DRY_EVENT[10:])
+            status, _, payload = _read_answer(sock.makefile("rb"))
+        assert status == 200
+        assert payload["accepted"] == 1
+
+
+class TestLatencyWindow:
+    def test_stats_count_every_request_past_the_window(
+        self, golden_columns, monkeypatch
+    ):
+        monkeypatch.setattr(metrics, "HISTOGRAM_WINDOW", 8)
+        app = ServeApp(ServeState.from_columns(golden_columns), MetricsRegistry())
+        for _ in range(20):
+            assert app.handle("GET", "/healthz")[0] == 200
+        status, payload = app.handle("GET", "/v1/stats")
+        app.close()
+        assert status == 200
+        assert payload["requests"] == 20
+        assert payload["latency"]["count"] == 20
+        assert payload["latency"]["window"] == 8
 
 
 class TestPreIngest:
