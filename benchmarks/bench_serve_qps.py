@@ -40,7 +40,7 @@ import numpy as np
 import repro
 from repro.core.states import AvailState
 from repro.obs.metrics import MetricsRegistry
-from repro.serve import ServeClient, ServeState, start_server
+from repro.serve import BlockPager, ServeClient, ServeState, start_server
 from repro.traces.dataset import TraceDataset
 from repro.traces.records import CODE_TO_STATE
 from repro.traces.shards import open_shards, write_shards
@@ -116,8 +116,9 @@ def test_serve_qps(benchmark, out_dir, tmp_path):
     write_shards(dataset, tmp_path / "fleet", N_SHARDS, format="binary")
     store = open_shards(tmp_path / "fleet")
     state = ServeState.from_store(store, hot_shards=HOT_SHARDS)
+    pager = BlockPager(store)
     hot_ceiling_bytes = HOT_SHARDS * max(
-        info.n_machines * N_DAYS * 24 * 8 for info in store.manifest.shards
+        pager.counts(block.index).nbytes for block in pager.blocks
     )
 
     registry = MetricsRegistry()

@@ -13,7 +13,8 @@
 # answer must take under 0.5 s), checks the daemon's process tree and
 # that no process of it maps libssl, logs each process's peak RSS
 # (VmHWM), shuts the daemon down, and checks the manifest it wrote to
-# MANIFEST.
+# MANIFEST, including that resident count blocks hold at most one byte
+# per machine-day-hour cell.
 # `make serve-smoke` and CI run both topologies; the baseline refresh
 # scripts run it to write the committed manifests.
 set -eu
@@ -154,10 +155,15 @@ assert m.serve["qps"] > 0, m.serve
 assert m.serve["latency"]["count"] == m.serve["requests"], m.serve
 assert m.serve["status"]["2xx"] == m.serve["requests"], m.serve
 assert m.serve["ingest" if workers == 1 else "totals"]["streamed_events"] == 2
+# Compact count blocks: at most one byte per resident machine-day-hour
+# cell, over whole-shard blocks of 25 machines or 16-machine blocks.
+CELLS_PER_MACHINE = 14 * 24
 if workers == 1:
     assert m.serve["requests"] >= 505, m.serve
-    assert m.serve["tier"]["hot_entries"] <= 4, m.serve
-    assert m.serve["tier"]["rebuilds"] >= 8, m.serve
+    tier = m.serve["tier"]
+    assert tier["hot_entries"] <= 4, m.serve
+    assert tier["rebuilds"] >= 8, m.serve
+    assert tier["resident_bytes"] <= tier["hot_entries"] * 25 * CELLS_PER_MACHINE, tier
 else:
     assert m.schema["manifest"] == 9, m.schema
     assert m.serve["role"] == "router", m.serve
@@ -169,6 +175,9 @@ else:
     assert ranges[0][0] == 0 and ranges[-1][1] == 200, ranges
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:])), ranges
     assert all(lane["tier"]["n_blocks"] >= 1 for lane in lanes), lanes
+    for lane in lanes:
+        tier = lane["tier"]
+        assert tier["resident_bytes"] <= tier["hot_entries"] * 16 * CELLS_PER_MACHINE, tier
     assert all("queue" in lane["ingest"] for lane in lanes), lanes
     assert m.serve["totals"]["rebuilds"] >= 2, m.serve
     assert m.serve["requests"] >= 400, m.serve

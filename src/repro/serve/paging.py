@@ -15,8 +15,9 @@ A shard's first block touch verifies its SHA-256 against the manifest
 and, in the same call, records where its rows live: the byte offset of
 the event block and a machine → first-row index (``n_machines + 1``
 integers, from the machine-sorted ``machine_id`` column).  From then on
-a binary shard's block rebuild is **one positioned read** of exactly the
-block's rows (``os.pread``), binned by one ``bincount``.  Nothing is
+a binary shard's block rebuild reads exactly the block's rows, with
+**one positioned read** (``os.pread``) per 128 machines, each binned by
+one ``bincount``.  Nothing is
 memory-mapped, so evicted state really leaves the resident set instead
 of lingering as mapped file pages.  JSONL shards (no fixed row width)
 slice the same index out of a one-deep parse cache.
@@ -29,6 +30,14 @@ machine sub-range commutes with counting and every answer served
 through paging equals the unpaged (and batch) answer exactly.
 ``tests/test_serve_paging.py`` pins this, block size by block size,
 through eviction churn.
+
+Compact blocks: :func:`build_count_block` keeps each block in the
+narrowest unsigned dtype that holds its largest count
+(:func:`numpy.min_scalar_type`).  A machine sees a handful of
+unavailability starts a day, so that is ``uint8`` (24 bytes per
+machine-day, against 192 as ``int64``) on every fleet the generators
+write, and ``uint16`` or wider only where some cell needs it.  Counts
+are exact in any of them; readers widen a cell before they add to it.
 
 Verification happens **once per shard**, not per rebuild — per-rebuild
 hashing would re-read the whole file and defeat the point of paging.
@@ -46,12 +55,13 @@ is what the ``--hot-shards`` flag still means.
 from __future__ import annotations
 
 import bisect
+import functools
 import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -60,11 +70,16 @@ from ..prediction.base import counts_from_event_rows
 from ..traces.records import EVENT_DTYPE, EventColumns
 from ..traces.shards import ShardedTraceDataset, _sha256_file
 
-__all__ = ["BlockInfo", "BlockPager", "PagerStats"]
+__all__ = ["BlockInfo", "BlockPager", "PagerStats", "build_count_block"]
 
-#: Event rows per read (2.3 MiB) while a shard's first touch indexes its
-#: machines, so indexing a large shard never holds its whole event block.
-_INDEX_CHUNK_ROWS = 1 << 16
+#: Machines binned per step while a count block is built, so a build
+#: never holds a whole block's event rows or ``int64`` counts at once.
+_BUILD_CHUNK_MACHINES = 128
+
+#: Event rows per read (592 KiB, about one build step's rows) while a
+#: shard's first touch indexes its machines, so indexing a large shard
+#: never holds its whole event block.
+_INDEX_CHUNK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -146,6 +161,40 @@ def _read_rows(
             "file was truncated"
         )
     return np.frombuffer(data, dtype=EVENT_DTYPE)
+
+
+def build_count_block(
+    read_rows: Callable[[int, int], np.ndarray],
+    first_row: np.ndarray,
+    n_days: int,
+    machine_base: int = 0,
+) -> np.ndarray:
+    """A compact ``(n_machines, n_days, 24)`` count block.
+
+    ``first_row`` holds the block's ``n_machines + 1`` row bounds over a
+    machine-sorted event table: machine ``m`` of the block owns rows
+    ``first_row[m]:first_row[m + 1]``, and ``read_rows(lo, hi)`` returns
+    rows ``[lo, hi)``, whose machine ids start at ``machine_base``.
+    :func:`~repro.prediction.base.counts_from_event_rows` bins them
+    :data:`_BUILD_CHUNK_MACHINES` machines at a time; each chunk is
+    narrowed to the smallest unsigned dtype that holds its largest count
+    before the next is read, and the concatenation takes the widest of
+    them, so the block holds its own largest count exactly.
+    """
+    n_machines = first_row.size - 1
+    parts = []
+    for lo in range(0, n_machines, _BUILD_CHUNK_MACHINES):
+        hi = min(lo + _BUILD_CHUNK_MACHINES, n_machines)
+        counts = counts_from_event_rows(
+            read_rows(int(first_row[lo]), int(first_row[hi])),
+            hi - lo,
+            n_days,
+            machine_base=machine_base + lo,
+        )
+        parts.append(
+            counts.astype(np.min_scalar_type(int(counts.max(initial=0))))
+        )
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class BlockPager:
@@ -366,11 +415,12 @@ class BlockPager:
         return columns
 
     def _build(self, block: BlockInfo) -> np.ndarray:
-        """(Re)build one block's counts from its shard file.
+        """(Re)build one block's compact counts from its shard file.
 
-        A binary shard's block is one positioned read of exactly the
-        block's rows; the returned counts own their memory and nothing
-        stays mapped, so an evicted block leaves the resident set.  A
+        A binary shard's block is built from positioned reads of
+        exactly its rows, one per build step (:func:`build_count_block`);
+        the returned counts own their memory and nothing stays mapped,
+        so an evicted block leaves the resident set.  A
         shard file replaced since its first touch (a store regenerated
         in place writes new files) would not match the recorded row
         index, so it raises instead of serving misaligned rows.
@@ -382,12 +432,14 @@ class BlockPager:
                 "and indexed; restart the server to serve the new file"
             )
         base = block.lo - self._store.manifest.shards[block.shard].machine_lo
-        row_lo = int(shard.first_row[base])
-        row_hi = int(shard.first_row[base + block.n_machines])
         if shard.offset is None:
-            rows = self._jsonl_columns(block.shard).events[row_lo:row_hi]
+            events = self._jsonl_columns(block.shard).events
+            read = lambda lo, hi: events[lo:hi]  # noqa: E731
         else:
-            rows = _read_rows(shard.path, shard.offset, row_lo, row_hi)
-        return counts_from_event_rows(
-            rows, block.n_machines, self.n_days, machine_base=base
+            read = functools.partial(_read_rows, shard.path, shard.offset)
+        return build_count_block(
+            read,
+            shard.first_row[base : base + block.n_machines + 1],
+            self.n_days,
+            machine_base=base,
         )

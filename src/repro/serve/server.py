@@ -50,9 +50,10 @@ machine→worker map); malformed or missing parameters (including an
 invalid window, via :class:`~repro.errors.PredictionError`) and ingest
 events for a machine outside the fleet → 400; a request the shell cannot
 frame → 400 (malformed request line, header line or ``Content-Length``),
-411 (``Transfer-Encoding``), 414 (request line over 64 KiB) or 431 (a
-header line over 64 KiB, or more than 100 headers), and an HTTP version
-other than 1.0 or 1.1 → 505, each followed by closing the connection;
+411 (``Transfer-Encoding``), 413 (a body over 64 MiB), 414 (request line
+over 64 KiB) or 431 (a header line over 64 KiB, or more than 100
+headers), and an HTTP version other than 1.0 or 1.1 → 505, each
+followed by closing the connection;
 queries before any data exists → 503; a down worker's range → 503 with
 a ``Retry-After`` header; ingest ordering violations → 409;
 ingest-queue backpressure → 429 with a ``Retry-After`` header and
@@ -537,6 +538,9 @@ class ServeApp(Pipeline):
 #: and the most header lines it takes (the standard library's limits).
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
+#: The largest request body the shell reads.  A full batch for the
+#: default 100,000-event ingest queue is about 5 MB of JSON.
+_MAX_BODY = 64 << 20
 
 #: Every status line the shell may send, built once.
 _STATUS_LINES = {
@@ -689,6 +693,14 @@ class _Handler(socketserver.StreamRequestHandler):
             self._refuse(400, f"invalid Content-Length {length!r}")
             return
         size = int(length)
+        if size > _MAX_BODY:
+            # Refused unread, so the connection cannot carry another
+            # request: answer and close.
+            self._refuse(
+                413, f"request body of {size} bytes is over the limit of "
+                f"{_MAX_BODY} bytes"
+            )
+            return
         body = b""
         if size:
             if (

@@ -11,11 +11,13 @@ million-machine fleet fits under a fixed RSS ceiling.
 
 :class:`ServeState` is that state, split into two tiers:
 
-* **base tier** — count blocks built from the bootstrap trace.  A state
+* **base tier** — count blocks built from the bootstrap trace, each in
+  the narrowest unsigned dtype that holds its largest count
+  (:func:`~repro.serve.paging.build_count_block`).  A state
   bootstrapped from in-memory columns holds one resident block; a
   store-backed state pages **fixed-size machine-range blocks** in and
   out through a :class:`~repro.serve.paging.BlockPager` (each rebuilt
-  from one positioned read of its rows in a binary shard, LRU-bounded
+  from positioned reads of its rows in a binary shard, LRU-bounded
   by blocks and/or bytes), so the fleet's total state never has to be
   resident at once — the block grain is what lets a 10⁵–10⁶-machine
   fleet serve under a fixed RSS ceiling.  A point query touches its
@@ -104,14 +106,10 @@ from ..errors import (
     ServeError,
     WorkerRangeError,
 )
-from ..prediction.base import (
-    PredictionQuery,
-    counts_from_event_rows,
-    start_cell,
-)
+from ..prediction.base import PredictionQuery, start_cell
 from ..traces.records import CODE_TO_STATE, EventColumns
 from ..traces.shards import ShardedTraceDataset
-from .paging import BlockPager
+from .paging import BlockPager, build_count_block
 from .server import mean_survival
 
 __all__ = [
@@ -329,8 +327,8 @@ class ServeState:
         kwargs.pop("hot_bytes", None)
         kwargs.pop("block_machines", None)
         state = cls(cols.n_machines, cols.n_days, cols.start_weekday, **kwargs)
-        state._base = counts_from_event_rows(
-            cols.events, cols.n_machines, cols.n_days
+        state._base = build_count_block(
+            lambda lo, hi: cols.events[lo:hi], cols.machine_bounds(), cols.n_days
         )
         return state
 
@@ -898,26 +896,53 @@ class ServeState:
             duration_hours=duration_hours,
         )
         cells = query.hour_cells()
+        shifts = [d - day for d in days]
         out = np.zeros((self.owned_machines, len(days)), dtype=float)
         with self._lock:
+            streamed = self._streamed_days(
+                {cell_day + shift for shift in shifts for cell_day, _, _ in cells}
+            )
             for lo, hi, counts in self._base_segments():
                 sub = out[lo - self.machine_lo : hi - self.machine_lo]
-                for i, d in enumerate(days):
-                    shift = d - day
+                local = {}
+                for cd, (mids, vecs) in streamed.items():
+                    a, b = np.searchsorted(mids, (lo, hi))
+                    if a < b:
+                        local[cd] = (mids[a:b] - lo, vecs[a:b])
+                for i, shift in enumerate(shifts):
                     for cell_day, hour, overlap in cells:
                         cd = cell_day + shift
                         if not 0 <= cd < horizon:
                             continue
                         if counts is not None and cd < self.base_n_days:
-                            cell = counts[:, cd, hour].copy()
+                            # Widened before the overlay adds to it: a
+                            # uint8 block's 255 plus one streamed event
+                            # is 256, not 0.
+                            cell = counts[:, cd, hour].astype(np.int64)
                         else:
                             cell = np.zeros(hi - lo, dtype=np.int64)
-                        touched = self._overlay_by_day.get(cd)
-                        if touched:
-                            for mid, vec in touched.items():
-                                if lo <= mid < hi:
-                                    cell[mid - lo] += vec[hour]
+                        hit = local.get(cd)
+                        if hit is not None:
+                            cell[hit[0]] += hit[1][:, hour]
                         sub[:, i] += overlap * cell
+        return out
+
+    def _streamed_days(
+        self, days: Iterable[int]
+    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Per streamed day among ``days``: its overlay machines,
+        ascending, and their ``(k, 24)`` hour counts as one array, built
+        once per fleet query so each block finds its slice with
+        ``searchsorted``.  Callers hold ``self._lock``."""
+        out = {}
+        for d in days:
+            touched = self._overlay_by_day.get(d)
+            if touched:
+                mids = sorted(touched)
+                out[d] = (
+                    np.array(mids, dtype=np.int64),
+                    np.array([touched[m] for m in mids]),
+                )
         return out
 
     def clean_windows(

@@ -533,6 +533,23 @@ class TestWireContract:
         assert headers["connection"] == "close"
         assert set(payload) == {"error"}
 
+    def test_oversized_body_gets_json_413_and_close_unread(self, wire, capfd):
+        with _connect(wire) as sock:
+            sock.sendall(
+                b"POST /v1/ingest HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: 1000000000000\r\n\r\n"
+            )
+            status, headers, payload = _read_answer(sock.makefile("rb"))
+            assert _closed(sock)
+        assert status == 413
+        assert headers["connection"] == "close"
+        assert set(payload) == {"error"}
+        # The server goes on serving, and no handler thread died.
+        with _connect(wire) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert _read_answer(sock.makefile("rb"))[0] == 200
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_head_gets_the_headers_without_a_body(self, wire):
         with _connect(wire) as sock:
             rfile = sock.makefile("rb")

@@ -24,7 +24,7 @@ import pytest
 
 from repro.config import FgcsConfig, TestbedConfig
 from repro.obs.metrics import MetricsRegistry
-from repro.serve import ServeClient, ServeState, start_server
+from repro.serve import BlockPager, ServeClient, ServeState, start_server
 from repro.traces.generate import generate_dataset
 from repro.traces.records import EventColumns
 from repro.traces.shards import generate_shards, open_shards
@@ -114,10 +114,7 @@ class TestLruColdTier:
         assert stats.evictions >= store.n_shards - 2
 
     def test_byte_bound_holds_under_scan(self, store):
-        # int64 counts: machines-in-shard × days × 24 hours × 8 bytes.
-        one_block = (
-            store.manifest.shards[0].n_machines * store.n_days * 24 * 8
-        )
+        one_block = BlockPager(store).counts(0).nbytes
         state = ServeState.from_store(store, hot_bytes=2 * one_block)
         for machine in range(store.n_machines):
             state.window_count(machine, 7, 0.0, 6.0)

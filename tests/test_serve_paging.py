@@ -110,7 +110,7 @@ class TestBlockCounts:
         assert stats.rebuilds >= stats.evictions
 
     def test_lru_respects_byte_bound(self, fleet_store):
-        one_block = 2 * fleet_store.n_days * 24 * 8
+        one_block = BlockPager(fleet_store, block_machines=2).counts(0).nbytes
         pager = BlockPager(
             fleet_store, block_machines=2, max_bytes=2 * one_block
         )
@@ -306,10 +306,11 @@ RSS_CEILING_BYTES = 512 * (1 << 20)
 SCALE_MACHINES = int(os.environ.get("FGCS_TEST_SCALE_MACHINES", "100000"))
 SCALE_DAYS = 14
 SCALE_SHARDS = 16
-#: Machines per pageable block at scale — ~4.3 MiB of int64 counts each.
+#: Machines per pageable block at scale — ~0.5 MiB of uint8 counts each.
 SCALE_BLOCK = 1600
-#: Hot-tier byte bound the child serves under (well below the ceiling).
-SCALE_HOT_BYTES = 64 * (1 << 20)
+#: Hot-tier byte bound the child serves under (well below the ceiling):
+#: about 15 of the fleet's 64 blocks, so the scan evicts.
+SCALE_HOT_BYTES = 8 * (1 << 20)
 
 _SCALE_CHILD = """
 import json, resource, sys
