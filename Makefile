@@ -22,7 +22,11 @@ test:
 # - a 3 s perfbench batch run (about 6 s on one core), which exits 0
 #   only when the shard fold == the per-event analysis of the same
 #   shards and the shard fingerprints agree across passes, so every
-#   generator change meets the batch gates, not only benchmarked ones.
+#   generator change meets the batch gates, not only benchmarked ones;
+# - the same run traced (about 5 s more), which fails unless the traced
+#   breakdown still splits synthesis from detection: a refactor that
+#   stopped calling a wrapped name through its module would fold one
+#   layer into the other and leave the tracer check above green.
 tier1:
 	python -c "import numpy, scipy; print('numpy', numpy.__version__, 'scipy', scipy.__version__)"
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -x -q --durations=10
@@ -30,6 +34,12 @@ tier1:
 	cd perfbench && PYTHONPATH=../src python -c \
 	    "import spans; spans.install_batch(); spans.install_serve()"
 	python perfbench/run.py --workload batch --seed 3 --seconds 3 --trace 0
+	out=$$(python perfbench/run.py --workload batch --seed 3 --seconds 3 \
+	    --trace 1) && echo "$$out" | tail -n 1 | python -c \
+	    "import json, sys; m = json.load(sys.stdin)['metrics']; \
+	    s, d = m['workloads.synth_s']['value'], m['core.detect_s']['value']; \
+	    print(f'traced batch: workloads.synth_s {s:.3f}, core.detect_s {d:.3f}'); \
+	    sys.exit(not (s > 0 and d > 0))"
 
 bench:
 	pytest benchmarks/ --benchmark-only

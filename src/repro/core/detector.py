@@ -42,6 +42,9 @@ __all__ = ["UnavailabilityDetector", "BatchDetector", "detect_events"]
 #: Internal run classes: 0 = available (S1/S2), 3/4/5 = failure conditions.
 _AVAIL = 0
 
+#: Samples per chunk of :meth:`BatchDetector.detect_columns`' prefix sums.
+_PREFIX_CHUNK = 1 << 16
+
 
 def _run_class(code: int) -> int:
     return code if code >= 3 else _AVAIL
@@ -283,31 +286,41 @@ class BatchDetector:
         t0 = t0[keep]
         t1 = t1[keep]
 
-        # Per-run sums over up samples, each the difference of two entries
-        # of one prefix-sum buffer that is refilled per column.  The leading
-        # zero and the sequential cumsum match the legacy
-        # concatenate(([0], cumsum(...))) arrays entry for entry; up counts
-        # are integers well below 2**53, exact in float64.
+        # Per-run sums over up samples, each the difference of two prefix
+        # sums, taken a chunk at a time.  The first chunk's cumsum is the
+        # legacy concatenate(([0], cumsum(...))) prefix entry for entry, and
+        # each later chunk is seeded as x[0] = carry + x[0] before its
+        # cumsum, so every prefix is the same sequential sum.  Only the
+        # prefixes at kept runs' bounds are kept (prefix 0 is 0.0); up
+        # counts are integers well below 2**53, exact in float64.
         up = batch.machine_up
-        prefix = np.empty(n + 1)
-        prefix[0] = 0.0
-        body = prefix[1:]
-
-        def run_sums() -> np.ndarray:
-            np.cumsum(body, out=body)
-            return prefix[ends] - prefix[starts]
-
-        np.copyto(body, up)
-        cnt = run_sums()
-        sums = []
-        for column in (batch.host_load, batch.free_mb):
-            body[...] = 0.0
-            np.copyto(body, column, where=up)
-            sums.append(run_sums())
+        bounds = np.empty(2 * starts.shape[0], dtype=np.int64)
+        bounds[0::2] = starts
+        bounds[1::2] = ends  # nondecreasing: kept runs are disjoint
+        columns = (up, batch.host_load, batch.free_mb)
+        prefix = np.zeros((len(columns), bounds.shape[0]))
+        carry = [0.0] * len(columns)
+        buf = np.empty(min(n, _PREFIX_CHUNK))
+        for lo in range(0, n, _PREFIX_CHUNK):
+            hi = min(lo + _PREFIX_CHUNK, n)
+            body = buf[: hi - lo]
+            up_c = up[lo:hi]
+            # Bounds in (lo, hi] read this chunk's cumsum.
+            a, b = np.searchsorted(bounds, (lo, hi), side="right")
+            at = bounds[a:b] - (lo + 1)
+            for j, column in enumerate(columns):
+                body[...] = 0.0
+                np.copyto(body, column[lo:hi], where=up_c)
+                if lo:
+                    body[0] = carry[j] + body[0]
+                np.cumsum(body, out=body)
+                carry[j] = body[-1]
+                prefix[j, a:b] = body[at]
+        cnt, load_sum, mem_sum = prefix[:, 1::2] - prefix[:, 0::2]
         denom = np.maximum(cnt, 1)
         with np.errstate(invalid="ignore"):
-            mean_load = np.where(cnt > 0, sums[0] / denom, np.nan)
-            mean_mem = np.where(cnt > 0, sums[1] / denom, np.nan)
+            mean_load = np.where(cnt > 0, load_sum / denom, np.nan)
+            mean_mem = np.where(cnt > 0, mem_sum / denom, np.nan)
 
         out = np.empty(run_cls.shape[0], dtype=EVENT_DTYPE)
         out["machine_id"] = machine_id

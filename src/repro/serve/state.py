@@ -896,35 +896,49 @@ class ServeState:
             duration_hours=duration_hours,
         )
         cells = query.hour_cells()
-        shifts = [d - day for d in days]
+        # The day each cell of each history day falls on, and whether the
+        # pair counts and lies in the base tier.
+        cell_days = np.array(
+            [[cell_day + d - day for cell_day, _, _ in cells] for d in days],
+            dtype=np.int64,
+        ).reshape(len(days), len(cells))
+        live = (cell_days >= 0) & (cell_days < horizon)
+        in_base = live & (cell_days < self.base_n_days)
         out = np.zeros((self.owned_machines, len(days)), dtype=float)
         with self._lock:
-            streamed = self._streamed_days(
-                {cell_day + shift for shift in shifts for cell_day, _, _ in cells}
-            )
+            streamed = self._streamed_days(set(cell_days[live].tolist()))
+            # Scratch for one block's cell counts and weighted terms, sized
+            # to the widest block seen so far.
+            cell_buf = np.empty((0, len(days)), dtype=np.int64)
+            term_buf = np.empty((0, len(days)))
             for lo, hi, counts in self._base_segments():
-                sub = out[lo - self.machine_lo : hi - self.machine_lo]
-                local = {}
+                if hi - lo > len(cell_buf):
+                    cell_buf = np.empty((hi - lo, len(days)), dtype=np.int64)
+                    term_buf = np.empty((hi - lo, len(days)))
+                local = []
                 for cd, (mids, vecs) in streamed.items():
                     a, b = np.searchsorted(mids, (lo, hi))
                     if a < b:
-                        local[cd] = (mids[a:b] - lo, vecs[a:b])
-                for i, shift in enumerate(shifts):
-                    for cell_day, hour, overlap in cells:
-                        cd = cell_day + shift
-                        if not 0 <= cd < horizon:
-                            continue
-                        if counts is not None and cd < self.base_n_days:
-                            # Widened before the overlay adds to it: a
-                            # uint8 block's 255 plus one streamed event
-                            # is 256, not 0.
-                            cell = counts[:, cd, hour].astype(np.int64)
-                        else:
-                            cell = np.zeros(hi - lo, dtype=np.int64)
-                        hit = local.get(cd)
-                        if hit is not None:
-                            cell[hit[0]] += hit[1][:, hour]
-                        sub[:, i] += overlap * cell
+                        local.append((cd, mids[a:b] - lo, vecs[a:b]))
+                sub = out[lo - self.machine_lo : hi - self.machine_lo]
+                # One cell at a time, in cell order, for every history day
+                # at once: the scalar path's total += overlap * count, where
+                # a pair that does not count adds +0.0 to a sum that is
+                # never -0.0.
+                cell = cell_buf[: hi - lo]
+                term = term_buf[: hi - lo]
+                for j, (_, hour, overlap) in enumerate(cells):
+                    cell[...] = 0
+                    base = in_base[:, j]
+                    if counts is not None and base.any():
+                        # Widened before the overlay adds to it: a uint8
+                        # block's 255 plus one streamed event is 256, not 0.
+                        cell[:, base] = counts[:, cell_days[base, j], hour]
+                    for cd, rows, vecs in local:
+                        i = np.flatnonzero(cell_days[:, j] == cd)
+                        if i.size:
+                            cell[rows[:, None], i] += vecs[:, hour, None]
+                    sub += np.multiply(overlap, cell, out=term)
         return out
 
     def _streamed_days(

@@ -9,9 +9,11 @@ from ~35 MiB of imports: the load model filters through scipy's
 compiled kernel alone (:mod:`repro.workloads.iir`), not the ~78 MiB
 ``scipy.signal`` package.  For a 92-day machine at the 10 s monitor
 period the shared per-config
-:class:`~repro.workloads.loadmodel.SynthContext` raises a worker's
-peak resident set by ~31 MiB and each machine by ~29 MiB more
-(``tests/test_generate_memory.py`` bounds the growth and the peak).
+:class:`~repro.workloads.loadmodel.SynthContext` (the sample grid and
+the diurnal intensity) raises a worker's peak resident set by ~17 MiB,
+and each machine by ~22 MiB more: only its load and free-memory series
+are ever whole, and every other stage runs a few hours of samples at a
+time (``tests/test_generate_memory.py`` bounds the growth and the peak).
 
 Machines are independent units of work drawing from per-machine random
 streams (``RngFactory(seed).generator(kind, machine_id)``), so generation

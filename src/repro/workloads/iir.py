@@ -6,9 +6,9 @@ through ``y[t] = x[t] + rho * y[t - 1]``, which is
 ``scipy.signal`` for that one call loads ~800 modules and raises a
 fresh interpreter's peak resident set by ~78 MiB, more than building
 the synthesis context and two 92-day machines together.  For a
-denominator longer than one tap and no initial state, ``lfilter`` hands
-its float64 coefficient arrays, the input and the axis straight to one
-compiled kernel, ``scipy.signal._sigtools._linear_filter``.  This module
+denominator longer than one tap, ``lfilter`` hands its float64
+coefficient arrays, the input, the axis and any initial state straight
+to one compiled kernel, ``scipy.signal._sigtools._linear_filter``.  This module
 loads that kernel from its extension file, so neither
 ``scipy/__init__.py`` nor ``scipy/signal/__init__.py`` runs, and calls
 it exactly as ``lfilter`` does: the output is bit-identical by
@@ -27,7 +27,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -66,16 +66,25 @@ def _load_kernel() -> Optional[Callable]:
 _KERNEL = _load_kernel()
 
 
-def ar1_filter(rho: float, x: np.ndarray) -> np.ndarray:
-    """``lfilter([1.0], [1.0, -rho], x, axis=-1)``, bit for bit.
+def ar1_filter(
+    rho: float, x: np.ndarray, zi: Optional[np.ndarray] = None
+) -> Union[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """``lfilter([1.0], [1.0, -rho], x, axis=-1, zi=zi)``, bit for bit.
 
     Filters along the last axis, so each row of a 2-D ``x`` is its own
-    series.  Returns a new float64 array.
+    series.  Without ``zi``, returns a new float64 array.  With ``zi``,
+    the filter state before ``x`` (shape ``x.shape[:-1] + (1,)``, zeros
+    for a series' start), returns ``(y, zf)`` like ``lfilter``: passing
+    each call's ``zf`` as the next call's ``zi`` filters a series in
+    pieces with the same floats as one call over the whole.  ``x`` must
+    not be empty when ``zi`` is given: the kernel leaves ``zf`` unset.
     """
     b = np.array([1.0])
     a = np.array([1.0, -rho])
     if _KERNEL is not None:
-        return _KERNEL(b, a, x, -1)
+        if zi is None:
+            return _KERNEL(b, a, x, -1)
+        return _KERNEL(b, a, x, -1, zi)
     from scipy.signal import lfilter
 
-    return lfilter(b, a, x, axis=-1)
+    return lfilter(b, a, x, axis=-1, zi=zi)

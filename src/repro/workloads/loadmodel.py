@@ -8,15 +8,17 @@ downstream detector (:mod:`repro.core.detector`) re-discovers the planted
 episodes from the samples alone, mirroring the paper's methodology where
 thresholds calibrated offline are applied to monitor data.
 
-Everything is vectorized NumPy over the machine's full sample grid
-(~800 k samples for 92 days at 10 s), so generating the 20-machine
-testbed takes seconds.
+Everything is vectorized NumPy over the machine's sample grid (~800 k
+samples for 92 days at 10 s), so generating the 20-machine testbed
+takes seconds.  The columnar path keeps only the load and free-memory
+series whole and runs every other stage over hour-aligned chunks of
+the grid (:meth:`SynthContext.chunks`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -147,19 +149,27 @@ def synthesize_samples(
     return SampleBatch(times, load, free, up)
 
 
-def _ar1_drawn(rng: np.random.Generator, buf: np.ndarray, rho: float) -> np.ndarray:
-    """:func:`_ar1` over ``len(buf) - 1`` samples, drawn into ``buf``.
+def _ar1_chunks(buf: np.ndarray, rho: float, chunks: list) -> Iterator[np.ndarray]:
+    """:func:`_ar1` over ``len(buf) - 1`` samples drawn into ``buf``,
+    filtered one chunk of :meth:`SynthContext.chunks` at a time.
 
-    One ``standard_normal`` call fills ``buf`` with the same stream values
-    as legacy ``_ar1``'s two calls: the body, then the warm start.  The
-    innovations are scaled in place, so the only new array is the filter
-    output, bit-identical to the per-call version.
+    ``buf`` holds one ``standard_normal(n + 1)`` draw, the same stream
+    values as legacy ``_ar1``'s two calls: the body, then the warm start.
+    Each chunk's innovations are scaled in place and filtered with the
+    state carried from the chunk before, so the yielded pieces are
+    bit-identical to the one-call series; a chunk's innovations are spent
+    once its piece is yielded, so the caller may overwrite them.
     """
-    rng.standard_normal(out=buf)
-    eps = buf[:-1]
-    eps *= np.sqrt(1.0 - rho * rho)
-    eps[0] = buf[-1]
-    return ar1_filter(rho, eps)
+    n = len(buf) - 1
+    scale = np.sqrt(1.0 - rho * rho)
+    zi = np.zeros(1)
+    for _, _, lo, hi in chunks:
+        eps = buf[lo:hi]
+        eps *= scale
+        if lo == 0:
+            eps[0] = buf[n]  # the warm start, drawn last
+        y, zi = ar1_filter(rho, eps, zi)
+        yield y
 
 
 def _logistic_inplace(x: np.ndarray) -> np.ndarray:
@@ -170,20 +180,23 @@ def _logistic_inplace(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, x, out=x)
 
 
-#: Samples per chunk when :class:`SynthContext` evaluates the intensity.
-_CTX_CHUNK = 1 << 16
+#: Whole hours per chunk of :meth:`SynthContext.chunks`.  At the 10 s
+#: monitor period a chunk is 11,520 samples, 90 KiB per float column, so
+#: a chunk's few temporaries stay in cache.
+_CHUNK_HOURS = 32
 
 
 class SynthContext:
     """Machine-invariant precomputation shared across a fleet's synthesis.
 
     Everything here depends only on ``(config.lab, config.testbed,
-    config.monitor.period)`` — the sample grid, the load/memory modulation
-    amplitudes of the diurnal intensity and the hour-of-sample index are
-    identical for every machine, so the columnar path computes them once
-    per config instead of once per machine.  The arrays are marked
-    read-only; per-machine state (AR(1) series, episode overrides) is
-    always written into fresh buffers.
+    config.monitor.period)``: the sample grid, the lab's diurnal
+    intensity at each sample and the sample where each wall-clock hour
+    begins are identical for every machine, so the columnar path computes
+    them once per config instead of once per machine.  For a 92-day
+    span at the 10 s period that is two float columns, ~12 MiB.  The
+    arrays are marked read-only; per-machine state (AR(1) series,
+    episode overrides) is always written into fresh buffers.
     """
 
     __slots__ = (
@@ -192,12 +205,10 @@ class SynthContext:
         "n",
         "times",
         "profile",
-        "load_amp",
-        "mem_amp",
+        "intensity",
         "avail",
         "n_hours",
-        "hour_idx",
-        "hour_counts",
+        "hour_starts",
     )
 
     def __init__(self, config: FgcsConfig) -> None:
@@ -205,41 +216,50 @@ class SynthContext:
         if period <= 0:
             raise ConfigError("monitor period must be positive")
         span = config.testbed.duration
-        lab = config.lab
         self.period = period
         self.span = span
         self.n = int(span / period)
         self.times = (np.arange(self.n) + 1) * period
-        self.profile = ActivityProfile(lab, config.testbed)
+        self.profile = ActivityProfile(config.lab, config.testbed)
         self.n_hours = int(span // HOUR)
-        # (times // HOUR).astype(int64), cast element by element into the
-        # index array rather than through a float temporary.
-        self.hour_idx = np.floor_divide(
-            self.times, HOUR, out=np.empty(self.n, dtype=np.int64), casting="unsafe"
+        # Sample i lies in hour min(times[i] // HOUR, n_hours - 1).  For a
+        # positive float, t // HOUR >= h exactly when t >= h * HOUR, so
+        # hour h spans samples [hour_starts[h], hour_starts[h + 1]), and
+        # the last hour runs to n: it takes the samples at or past
+        # n_hours * HOUR (the one at t = span, say) that the clamp puts
+        # there.
+        self.hour_starts = np.append(
+            np.searchsorted(
+                self.times, np.arange(self.n_hours) * HOUR, side="left"
+            ),
+            self.n,
         )
-        np.minimum(self.hour_idx, self.n_hours - 1, out=self.hour_idx)
-        self.hour_counts = (
-            np.bincount(self.hour_idx, minlength=self.n_hours)
-            if self.n_hours
-            else np.zeros(0, dtype=np.int64)  # a sub-hour span has no hours
-        )
-        # Same association order as the legacy expressions in
-        # synthesize_samples: ((2.0 * (mod - light)) * intensity) and
-        # (120.0 * intensity), so the remaining per-machine multiplies
-        # produce bit-identical floats.  The intensity is elementwise in
-        # time, so it is evaluated a chunk at a time: its half-dozen
-        # temporaries never span the whole grid, and nothing keeps it.
-        load_scale = 2.0 * (lab.moderate_load_mean - lab.light_load_mean)
-        self.load_amp = np.empty(self.n)
-        self.mem_amp = np.empty(self.n)
-        for lo in range(0, self.n, _CTX_CHUNK):
-            hi = min(lo + _CTX_CHUNK, self.n)
-            intensity = self.profile.intensity(self.times[lo:hi])
-            np.multiply(load_scale, intensity, out=self.load_amp[lo:hi])
-            np.multiply(120.0, intensity, out=self.mem_amp[lo:hi])
+        # The intensity is elementwise in time, so it is evaluated a chunk
+        # at a time: its half-dozen temporaries never span the whole grid.
+        self.intensity = np.empty(self.n)
+        for _, _, lo, hi in self.chunks():
+            self.intensity[lo:hi] = self.profile.intensity(self.times[lo:hi])
         self.avail = config.testbed.machine_memory_mb - config.testbed.machine_kernel_mb
-        for name in ("times", "load_amp", "mem_amp", "hour_idx", "hour_counts"):
+        for name in ("times", "intensity", "hour_starts"):
             getattr(self, name).setflags(write=False)
+
+    def chunks(self) -> list[tuple[int, int, int, int]]:
+        """``(h0, h1, lo, hi)`` per chunk, in order: hours ``[h0, h1)``,
+        ``_CHUNK_HOURS`` of them (fewer in the last chunk), which span
+        samples ``[lo, hi)``.  The chunks cover the grid, and none splits
+        an hour: the last hour, clamped samples and all, stays whole.
+        Chunks without samples are left out; a grid shorter than an hour
+        is one chunk of no hours."""
+        if self.n_hours == 0:
+            return [(0, 0, 0, self.n)] if self.n else []
+        out = []
+        for h0 in range(0, self.n_hours, _CHUNK_HOURS):
+            h1 = min(h0 + _CHUNK_HOURS, self.n_hours)
+            lo = int(self.hour_starts[h0])
+            hi = int(self.hour_starts[h1])
+            if hi > lo:
+                out.append((h0, h1, lo, hi))
+        return out
 
 
 _CTX_CACHE: dict = {}
@@ -279,14 +299,18 @@ def synthesize_samples_columns(
     """Columnar twin of :func:`synthesize_samples` — bit-identical output.
 
     The machine holds its own three columns and little else.  Each
-    baseline AR(1) series is drawn with one ``standard_normal(n + 1)``
-    call into a shared innovation buffer (NumPy's generators yield the
-    same stream values however the draws are split), then scaled,
-    filtered, squashed and clipped in place over the shared
-    :class:`SynthContext` amplitudes.  Episodes are planted by
-    :func:`_plant_episodes` and the observation noise is clamped with
-    whole-array ``maximum``/``minimum`` plus one masked copy, so no
-    boolean gather or scatter touches the grid.
+    baseline AR(1) series is drawn whole with one ``standard_normal(n +
+    1)`` call into its own buffer: NumPy's generators yield the same
+    stream values however the draws are split, but the warm start is the
+    last variate, so this draw stays whole.  Then, one
+    :meth:`SynthContext.chunks` chunk at a time, each series is scaled,
+    filtered with carried state, squashed, multiplied by its diurnal
+    amplitude, shifted and clipped, and written back over the chunk's
+    spent innovations, so the buffer's first ``n`` entries become the
+    column.  Episodes are planted by :func:`_plant_episodes`, and the
+    observation noise is drawn and clamped a chunk at a time with
+    ``maximum``/``minimum`` plus one masked copy, so no boolean gather or
+    scatter touches the grid.
 
     When ``counters`` is given, ``counters["rng.draws.signal"]`` is
     incremented by the number of variates consumed from ``rng``.
@@ -295,24 +319,35 @@ def synthesize_samples_columns(
     period = ctx.period
     lab = config.lab
     th2 = config.thresholds.th2
+    chunks = ctx.chunks()
 
     # --- baseline load + memory --------------------------------------------
     # Legacy draw order: SN(n), SN(1) for the load AR(1), then SN(n), SN(1)
     # for the memory AR(1).
-    buf = np.empty(n + 1)
-    load = _ar1_drawn(rng, buf, float(np.exp(-period / (10 * 60.0))))
-    _logistic_inplace(load)
-    load *= ctx.load_amp
-    load += lab.light_load_mean
-    np.clip(load, 0.0, th2 - _BASELINE_MARGIN, out=load)
-
-    free = _ar1_drawn(rng, buf, float(np.exp(-period / (30 * 60.0))))
-    del buf  # freed before the noise draw: at most three grid columns live
-    _logistic_inplace(free)
-    free *= ctx.mem_amp
-    free += 250.0  # the resident set
-    np.subtract(ctx.avail, free, out=free)
+    load = np.empty(n + 1)
+    rng.standard_normal(out=load)
+    free = np.empty(n + 1)
+    rng.standard_normal(out=free)
     draws = 2 * (n + 1)
+    # Same association order as the legacy expressions in
+    # synthesize_samples: ((2.0 * (mod - light)) * intensity) * usage and
+    # (120.0 * intensity) * usage, so the floats are bit-identical.
+    load_scale = 2.0 * (lab.moderate_load_mean - lab.light_load_mean)
+    load_ar1 = _ar1_chunks(load, float(np.exp(-period / (10 * 60.0))), chunks)
+    mem_ar1 = _ar1_chunks(free, float(np.exp(-period / (30 * 60.0))), chunks)
+    amp = np.empty(max((hi - lo for _, _, lo, hi in chunks), default=0))
+    for (_, _, lo, hi), usage, mem in zip(chunks, load_ar1, mem_ar1):
+        intensity = ctx.intensity[lo:hi]
+        _logistic_inplace(usage)
+        usage *= np.multiply(load_scale, intensity, out=amp[: hi - lo])
+        usage += lab.light_load_mean
+        np.clip(usage, 0.0, th2 - _BASELINE_MARGIN, out=load[lo:hi])
+        _logistic_inplace(mem)
+        mem *= np.multiply(120.0, intensity, out=amp[: hi - lo])
+        mem += 250.0  # the resident set
+        np.subtract(ctx.avail, mem, out=free[lo:hi])
+    load = load[:n]
+    free = free[:n]
 
     up = np.ones(n, dtype=bool)
     if episodes:
@@ -321,20 +356,26 @@ def synthesize_samples_columns(
         )
 
     # --- observation noise -----------------------------------------------------
-    if config.monitor.noise_std > 0:
-        noise = rng.normal(1.0, config.monitor.noise_std, size=n)
+    # One draw per chunk continues the one-call stream.  Noise must not
+    # push baseline over Th2 or overloads under it: overloads take
+    # max(load, floor), the rest min(load, ceiling).
+    noise_std = config.monitor.noise_std
+    floor = th2 + _OVERLOAD_MARGIN / 2
+    ceiling = th2 - _BASELINE_MARGIN / 2
+    for _, _, lo, hi in chunks:
+        seg = load[lo:hi]
+        if noise_std > 0:
+            noise = rng.normal(1.0, noise_std, size=hi - lo)
+            seg *= noise
+            over = seg >= th2
+            np.clip(seg, 0.0, 1.0, out=seg)
+            np.maximum(seg, floor, out=noise)
+            np.minimum(seg, ceiling, out=seg)
+            np.copyto(seg, noise, where=over)
+        # SampleBatch.__init__ clips host load; the trusted path must match it.
+        np.clip(seg, 0.0, 1.0, out=seg)
+    if noise_std > 0:
         draws += n
-        load *= noise
-        # Noise must not push baseline over Th2 or overloads under it:
-        # overloads take max(load, floor), the rest min(load, ceiling).
-        over = load >= th2
-        np.clip(load, 0.0, 1.0, out=load)
-        np.maximum(load, th2 + _OVERLOAD_MARGIN / 2, out=noise)
-        np.minimum(load, th2 - _BASELINE_MARGIN / 2, out=load)
-        np.copyto(load, noise, where=over)
-
-    # SampleBatch.__init__ clips host load; the trusted path must match it.
-    np.clip(load, 0.0, 1.0, out=load)
 
     if counters is not None:
         counters["rng.draws.signal"] = counters.get("rng.draws.signal", 0) + draws
@@ -450,18 +491,29 @@ def _plant_episodes(
 
 def hourly_mean_load_columns(samples: SampleBatch, ctx: SynthContext) -> np.ndarray:
     """:meth:`MachineTraceGenerator.hourly_mean_load` on a columnar batch,
-    reusing the context's precomputed hour indices and per-hour counts.
+    summed one :meth:`SynthContext.chunks` chunk at a time.
 
-    Down samples enter the per-hour sums as ``+0.0`` rather than being
-    gathered out: a ``bincount`` sum starts at ``+0.0`` and so is never
-    ``-0.0``, and adding ``+0.0`` to any other float returns it unchanged,
-    so the sums are bit-identical to summing the up samples alone.
+    Chunks hold whole hours, so each hour's sum is the same sequential
+    ``bincount`` sum over its samples as a whole-grid binning, and each
+    sample's hour comes from the context's hour starts.  Down samples
+    enter the per-hour sums as ``+0.0`` rather than being gathered out:
+    a ``bincount`` sum starts at ``+0.0`` and so is never ``-0.0``, and
+    adding ``+0.0`` to any other float returns it unchanged, so the sums
+    are bit-identical to summing the up samples alone.  An hour's up
+    samples are its samples less the down ones, which are few.
     """
+    if ctx.n_hours == 0:
+        return np.empty(0)
     up = samples.machine_up
-    weights = np.where(up, samples.host_load, 0.0)
-    sums = np.bincount(ctx.hour_idx, weights=weights, minlength=ctx.n_hours)
-    down_idx = ctx.hour_idx[~up]
-    counts = ctx.hour_counts - np.bincount(down_idx, minlength=ctx.n_hours)
+    load = samples.host_load
+    starts = ctx.hour_starts
+    sums = np.zeros(ctx.n_hours)
+    for h0, h1, lo, hi in ctx.chunks():
+        hour = np.repeat(np.arange(h1 - h0), np.diff(starts[h0 : h1 + 1]))
+        weights = np.where(up[lo:hi], load[lo:hi], 0.0)
+        sums[h0:h1] = np.bincount(hour, weights=weights, minlength=h1 - h0)
+    down_hour = np.searchsorted(starts, np.flatnonzero(~up), side="right") - 1
+    counts = np.diff(starts) - np.bincount(down_hour, minlength=ctx.n_hours)
     with np.errstate(invalid="ignore"):
         return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 

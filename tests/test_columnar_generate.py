@@ -40,6 +40,7 @@ from repro.traces.generate import (
 )
 from repro.traces.records import EVENT_DTYPE, events_to_columns
 from repro.units import DAY, HOUR
+from repro.workloads import loadmodel
 from repro.workloads.labuser import EpisodeKind, EpisodePlanner
 from repro.workloads.loadmodel import (
     MachineTraceGenerator,
@@ -201,6 +202,11 @@ class TestMachineDifferential:
         )
         assert rows.tobytes() == events_to_columns(events).tobytes()
         assert hourly is None
+        rows, hourly, _, _, _ = _generate_machine_columns(
+            (config, 0, 0, True, False)
+        )
+        assert rows.tobytes() == events_to_columns(events).tobytes()
+        assert hourly.shape == (0,)
 
     def test_shard_local_machine_id_relabels_only_that_column(self):
         config = _tiny_config()
@@ -252,6 +258,31 @@ class TestMachineDifferential:
             counters=tally,
         )
         assert tally["rng.draws.signal"] == columnar_rng.draws == legacy_rng.draws
+
+
+class TestChunkLength:
+    """Synthesis and the hourly summary run a few whole hours at a time;
+    how many must not reach the output."""
+
+    @pytest.mark.parametrize("chunk_hours", [1, 5, 10_000])
+    @pytest.mark.parametrize(
+        "span",
+        [3 * DAY, 3 * DAY + 1800.0],
+        # The second puts half an hour of samples into the clamped last hour.
+        ids=["3d", "3d-plus-half-hour"],
+    )
+    def test_rows_and_hourly_equal_legacy(self, monkeypatch, chunk_hours, span):
+        monkeypatch.setattr(loadmodel, "_CHUNK_HOURS", chunk_hours)
+        config = dataclasses.replace(
+            _tiny_config(), testbed=TestbedConfig(n_machines=2, duration=span)
+        )
+        for mid in range(2):
+            events, hourly = _generate_machine((config, mid, True))
+            rows, hourly_c, _, _, _ = _generate_machine_columns(
+                (config, mid, mid, True, False)
+            )
+            assert rows.tobytes() == events_to_columns(events).tobytes()
+            assert hourly_c.tobytes() == hourly.tobytes()
 
 
 # -- end-to-end golden byte identity ---------------------------------------

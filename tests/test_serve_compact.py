@@ -8,7 +8,9 @@ fleet shaped like the benchmark's serve store pages ``uint8`` blocks,
 and that counts past ``uint8`` stay exact through eviction on a single
 process and a 2-worker router: a stored cell of 300 starts, and a stored
 cell of 255 starts plus one streamed into it, both answer ``==`` the
-batch ``HistoryWindowPredictor`` over base plus streamed events.
+batch ``HistoryWindowPredictor`` over base plus streamed events.  A
+fleet query's per-machine rows are the point path's window counts, by
+bytes, over the same stores.
 """
 
 from __future__ import annotations
@@ -202,3 +204,30 @@ def test_wide_counts_served_exactly(wide_store, case, workers):
         stats = client.stats()
     tier = stats["tier"] if workers == 1 else stats["totals"]
     assert tier["evictions"] > 0
+
+
+@pytest.mark.parametrize(
+    "block_machines", [None, 7], ids=["shard-blocks", "7-machine-blocks"]
+)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_fleet_matrix_rows_equal_history_counts(wide_store, case, block_machines):
+    # A fleet query gathers each block's cells for every (history day,
+    # cell) pair at once; each machine's row must still be the scalar
+    # path's window counts, byte for byte.  One block stays resident, so
+    # every sweep evicts, and the 255-plus-1 case streams into the stored
+    # uint8 cell and onto day 14, one past the base horizon.
+    _, streamed = CASES[case]
+    state = ServeState.from_store(
+        open_shards(wide_store(case)), block_machines=block_machines, hot_shards=1
+    )
+    if streamed:
+        assert state.ingest(streamed).accepted == len(streamed)
+    # The last window crosses midnight, so some of its cells fall past the
+    # horizon on the latest history days.
+    for day, hour, duration in WINDOWS + [(16, 22.0, 4.0)]:
+        matrix = state._history_matrix(day, hour, duration)
+        assert matrix.shape[0] == WIDE_MACHINES
+        for m in range(WIDE_MACHINES):
+            want = state.history_counts(PredictionQuery(m, day, hour, duration))
+            assert matrix[m].tobytes() == want.tobytes(), (m, day, hour)
+    assert state._pager.stats().evictions > 0

@@ -102,3 +102,24 @@ def test_fallback_generates_the_same_fleet(monkeypatch):
     assert len(fast) > 0
     assert fast.events.tobytes() == slow.events.tobytes()
     assert fast.hourly_load.tobytes() == slow.hourly_load.tobytes()
+
+
+@pytest.mark.parametrize("path", ["kernel", "fallback"])
+@pytest.mark.parametrize("rho", RHOS)
+def test_carried_state_matches_one_call(monkeypatch, path, rho):
+    # The load model filters each baseline series a chunk at a time,
+    # passing each piece's final state on to the next.
+    if path == "fallback":
+        monkeypatch.setattr(iir, "_KERNEL", None)
+    rng = np.random.default_rng(17)
+    for n in (1, 3, 101, 4097):
+        x = rng.standard_normal(n)
+        whole = ar1_filter(rho, x)
+        for _ in range(4):
+            cuts = sorted({0, n, *rng.integers(0, n + 1, size=3).tolist()})
+            zi = np.zeros(1)
+            pieces = []
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                y, zi = ar1_filter(rho, x[lo:hi], zi)
+                pieces.append(y)
+            assert np.concatenate(pieces).tobytes() == whole.tobytes(), cuts
